@@ -1,14 +1,20 @@
 """The involution xi, the commutor, and the cactus-group action on cell tables.
 
-xi is computed per connected component: the top word maps to the bottom word,
-and the assignment propagates down the component along f_i edges, with the
-node relabeling theta (identity at even rank, swap of the two fork nodes at
-odd rank). The propagation asserts path-independence, so a wrong theta or a
-wrong longest-element rule fails loudly instead of corrupting results.
+xi is computed by walking one path, never by building a component: raise the
+word to the top of its component, recording the e-indices used; take the
+bottom word of the component, which xi assigns to the top; then replay the
+recorded indices in reverse as raisings e_theta(i) from the bottom. Here theta
+relabels the nodes (identity at even rank, swap of the two fork nodes at odd
+rank), so xi(f_i w) = e_theta(i) xi(w). A call holds only the path, whose
+length is the depth of w in its component (linear in N at fixed rank), and
+needs no budget.
 
-The commutor swaps two factor blocks via sigma(a (x) b) = xi(xi(b) (x) xi(a));
-s_{p,q} reverses the factor segment [p..q] by the recursion
-s_{p,q} = sigma_{p,p,q} o s_{p+1,q}.
+The commutor swaps two factor blocks via sigma(a (x) b) = xi(xi(b) (x) xi(a)).
+The generator s_{p,q} reverses the factor segment [p..q] in closed form
+(Henriques-Kamnitzer): s_{p,q}(w) = w[:p-1] + xi(xi(b_q) (x) ... (x) xi(b_p)) + w[q:].
+The earlier forms, whole-component xi tables and the recursion
+s_{p,q} = sigma_{p,p,q} o s_{p+1,q}, are kept in `suites.XiTableReference`
+as the oracle these are tested against.
 """
 
 from __future__ import annotations
@@ -21,12 +27,14 @@ from .errors import BudgetExceededError, ValidationError
 
 
 class XiCache:
-    """Per-component memo for the involution, shared by all commutor calls."""
+    """The involution and the cactus generators on the tensor words of one crystal.
+
+    budget_bits is kept for callers; the path walk needs no budget.
+    """
 
     def __init__(self, crystal: SpinCrystal, budget_bits=DEFAULT_BUDGET_BITS):
         self.crystal = crystal
         self.budget_bits = budget_bits
-        self._tables = {}
 
     def _theta(self, i):
         n = self.crystal.n
@@ -37,40 +45,15 @@ class XiCache:
                 return n - 1
         return i
 
-    def _build(self, hw):
-        crystal = self.crystal
-        limit = 1 << self.budget_bits
-        lw = crystal.to_lowest_weight(hw)
-        table = {hw: lw}
-        queue = [hw]
-        while queue:
-            cur = queue.pop()
-            image = table[cur]
-            for i in range(1, crystal.n + 1):
-                down = crystal.tensor_f(i, cur)
-                if down is None:
-                    continue
-                up = crystal.tensor_e(self._theta(i), image)
-                assert up is not None, "xi propagation left the component"
-                if down in table:
-                    assert table[down] == up, (
-                        "xi propagation is path-dependent; theta/w0 rule is wrong"
-                    )
-                    continue
-                if len(table) >= limit:
-                    raise BudgetExceededError(self.budget_bits + 1, self.budget_bits)
-                table[down] = up
-                queue.append(down)
-        return table
-
     def xi_word(self, w):
         """The involution on the full word (all factors as one segment)."""
-        hw = self.crystal.to_highest_weight(w)
-        table = self._tables.get(hw)
-        if table is None:
-            table = self._build(hw)
-            self._tables[hw] = table
-        return table[w]
+        crystal = self.crystal
+        path = []
+        image = crystal.to_lowest_weight(crystal.to_highest_weight(w, path))
+        for i in reversed(path):
+            image = crystal.tensor_e(self._theta(i), image)
+            assert image is not None, "xi replay left the component; theta is wrong"
+        return image
 
     def xi_segment(self, w, a, b):
         """Apply the involution to factors a..b (1-based, inclusive)."""
@@ -97,9 +80,8 @@ class XiCache:
         """Reverse the factor segment p..q; an involution on the tensor power."""
         if not 1 <= p <= q <= len(w):
             raise ValidationError(f"need 1 <= p <= q <= {len(w)}, got {(p, q)}")
-        if p == q:
-            return w
-        return self.sigma_pqr(self.s_pq(w, p + 1, q), p, q, p)
+        segment = tuple(self.xi_word((b,))[0] for b in reversed(w[p - 1 : q]))
+        return w[: p - 1] + self.xi_word(segment) + w[q:]
 
 
 _GEN_RE = re.compile(r"s\(\s*(\d+)\s*,\s*(\d+)\s*\)")

@@ -32,12 +32,19 @@ def _parse_csv_ints(text):
 
 
 def _budget_bits(args):
-    raw = os.environ.get("CACTUS_BUDGET_BITS")
-    bits = args.budget_bits if args.budget_bits is not None else (
-        int(raw) if raw else crystal.DEFAULT_BUDGET_BITS
-    )
-    if bits > crystal.MAX_BUDGET_BITS:
-        raise ValidationError(f"budget_bits must be at most {crystal.MAX_BUDGET_BITS}")
+    bits = args.budget_bits
+    if bits is None:
+        raw = os.environ.get("CACTUS_BUDGET_BITS")
+        try:
+            bits = int(raw) if raw else crystal.DEFAULT_BUDGET_BITS
+        except ValueError as exc:
+            raise ValidationError(
+                f"CACTUS_BUDGET_BITS must be an integer, got {raw!r}"
+            ) from exc
+    if not 0 <= bits <= crystal.MAX_BUDGET_BITS:
+        raise ValidationError(
+            f"budget_bits must be in 0..{crystal.MAX_BUDGET_BITS}, got {bits}"
+        )
     return bits
 
 
@@ -114,22 +121,33 @@ def _require_lambda(args):
 def _require_nu(args):
     if args.nu is None:
         raise ValidationError("--nu is required for this kind")
+    _need_dims(args)
     rows = list(_parse_csv_ints(args.nu))
     while rows and rows[-1] == 0:
         rows.pop()
     return youngt.ShortYoungDiagram(tuple(rows), args.N, args.n)
 
 
+def _decode(from_json, data, **kwargs):
+    """Build an object from a parsed JSON record; a malformed record is a usage error."""
+    try:
+        return from_json(data, **kwargs)
+    except ValidationError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed record: {exc!r}") from exc
+
+
 def _payload_to_table(args, data):
-    return celldiag.CellTable.from_json(data)
+    return _decode(celldiag.CellTable.from_json, data)
 
 
 def _payload_to_sssyt(args, data):
-    return youngt.SSYTable.from_json(data, n=args.n)
+    return _decode(youngt.SSYTable.from_json, data, n=args.n)
 
 
 def _payload_to_gtp(args, data):
-    return youngt.GTPattern.from_json(data)
+    return _decode(youngt.GTPattern.from_json, data)
 
 
 def _convert(args, source_kind, target_kind, data):
@@ -294,11 +312,9 @@ def build_parser():
         p.add_argument("--n", type=int, default=None, help="height / rank n")
         p.add_argument("--N", type=int, dest="N", default=None, help="tensor power N")
         p.add_argument("--budget-bits", type=int, default=None,
-                       help="scan budget, max nodes = 2^bits (cap 24); env CACTUS_BUDGET_BITS")
+                       help="scan budget, max nodes = 2^bits (0..24); env CACTUS_BUDGET_BITS")
         p.add_argument("--format", choices=("json", "table", "dot"), default="json")
         p.add_argument("--seed", type=int, default=20240801, help="seed for randomized suites")
-        p.add_argument("--workers", type=int, default=1,
-                       help="upper bound on helper workers (scans run in-process)")
 
     p_enum = sub.add_parser("enumerate", help="enumerate delta/diagrams/tables/sssyt/gtp")
     p_enum.add_argument("kind", choices=("delta", "diagrams", "tables", "sssyt", "gtp"))

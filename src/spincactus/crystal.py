@@ -8,6 +8,15 @@ tuples of masks; the tensor rule moves e_i to the first factor of a pair
 exactly when eps_i(first) exceeds phi_i(second), and f_i when it is at least
 phi_i(second).
 
+The kernel is table-driven: each crystal precomputes, for every index i, the
+images of all 2^n factors under e_i and f_i and their eps_i, phi_i (0 or 1;
+every i-string of the basic crystal has length at most one). On a word, e_i
+and f_i follow the equivalent signature rule in one pass over the factors, and
+eps_i, phi_i are folded from the pair rules eps(a (x) b) = eps(b) +
+max(0, eps(a) - phi(b)) and phi(a (x) b) = phi(a) + max(0, phi(b) - eps(a))
+instead of by repeated application. The literal two-factor recursion stays
+in `suites` as the oracle (`tensor_e_reference`, `tensor_f_reference`).
+
 The bijection between highest-weight words and regular cell tables reads the
 factor weights right to left: under this tensor rule the last factor of a
 highest-weight word is the one forced into a dominant spinor weight, so the
@@ -25,6 +34,22 @@ from .weights import Weight
 
 DEFAULT_BUDGET_BITS = 20
 MAX_BUDGET_BITS = 24
+
+
+def _spin_move(n, i, b, lowering):
+    """f_i (lowering) or e_i on one sign vector by the bit rule; None where it is zero.
+
+    Both flip a pair of adjacent bits to its complement: bits (i-1, i) from
+    (+,-) for f_i and (-,+) for e_i when i < n, bits (n-2, n-1) from (+,+)
+    for f_n and (-,-) for e_n.
+    """
+    if i < n:
+        shift, source = i - 1, 0b01 if lowering else 0b10
+    else:
+        shift, source = n - 2, 0b11 if lowering else 0b00
+    if (b >> shift) & 3 == source:
+        return b ^ (3 << shift)
+    return None
 
 
 def _check_budget(needed_bits, budget_bits):
@@ -50,6 +75,24 @@ class SpinCrystal:
         if n < 2:
             raise ValidationError(f"rank must be at least 2, got {n}")
         self.n = n
+        # Operator tables indexed [i][b], slot 0 unused: the image of b under
+        # e_i or f_i (None where it is zero), and eps_i, phi_i of b (0 or 1).
+        indices = range(1, n + 1)
+        self._e = (None,) + tuple(
+            tuple(_spin_move(n, i, b, False) for b in self.elements()) for i in indices
+        )
+        self._f = (None,) + tuple(
+            tuple(_spin_move(n, i, b, True) for b in self.elements()) for i in indices
+        )
+        self._eps1 = (None,) + tuple(
+            tuple(int(up is not None) for up in self._e[i]) for i in indices
+        )
+        self._phi1 = (None,) + tuple(
+            tuple(int(down is not None) for down in self._f[i]) for i in indices
+        )
+        assert not any(
+            self._eps1[i][b] and self._phi1[i][b] for i in indices for b in self.elements()
+        ), "every i-string of the basic crystal has length at most one"
 
     # -- single factors ----------------------------------------------------
 
@@ -74,35 +117,11 @@ class SpinCrystal:
 
     def spin_f(self, i, b):
         self._check_index(i)
-        n = self.n
-        if i < n:
-            hi, lo = (b >> (i - 1)) & 1, (b >> i) & 1
-            if hi == 1 and lo == 0:
-                return b ^ (1 << (i - 1)) ^ (1 << i)
-            return None
-        pair = (b >> (n - 2)) & 3
-        if pair == 3:
-            return b ^ (3 << (n - 2))
-        return None
+        return self._f[i][b]
 
     def spin_e(self, i, b):
         self._check_index(i)
-        n = self.n
-        if i < n:
-            hi, lo = (b >> (i - 1)) & 1, (b >> i) & 1
-            if hi == 0 and lo == 1:
-                return b ^ (1 << (i - 1)) ^ (1 << i)
-            return None
-        pair = (b >> (n - 2)) & 3
-        if pair == 0:
-            return b ^ (3 << (n - 2))
-        return None
-
-    def _eps1(self, i, b):
-        return 0 if self.spin_e(i, b) is None else 1
-
-    def _phi1(self, i, b):
-        return 0 if self.spin_f(i, b) is None else 1
+        return self._e[i][b]
 
     # -- tensor words -------------------------------------------------------
 
@@ -113,55 +132,67 @@ class SpinCrystal:
                 total[j] += 1 if (b >> j) & 1 else -1
         return Weight(tuple(total))
 
-    def _act_position(self, i, w, lowering):
-        # Walking the left-nested pairs from the top: descend into the prefix
-        # unless the comparison hands the move to the current last factor.
-        # The surviving position is the largest k whose factor wins.
-        pos = 0
-        eps_prefix = 0
-        for k, b in enumerate(w):
-            p = self._phi1(i, b)
-            if k > 0:
-                if lowering:
-                    if eps_prefix < p:
-                        pos = k
+    def _move(self, i, w, lowering):
+        """f_i (lowering) or e_i on a word by the signature rule; None where it is zero.
+
+        Factors with eps_i = 1 and phi_i = 1 pair off like brackets: each phi
+        factor cancels the nearest uncancelled eps factor to its left. f_i moves
+        the last uncancelled phi factor and e_i the first uncancelled eps
+        factor; the scan for e_i is the scan for f_i run right to left with the
+        two roles swapped.
+        """
+        self._check_index(i)
+        if lowering:
+            movable, blocking = self._phi1[i], self._eps1[i]
+            order = range(len(w))
+        else:
+            movable, blocking = self._eps1[i], self._phi1[i]
+            order = range(len(w) - 1, -1, -1)
+        pending = 0  # blocking factors not yet cancelled
+        pos = -1
+        for k in order:
+            b = w[k]
+            if movable[b]:
+                if pending:
+                    pending -= 1
                 else:
-                    if eps_prefix <= p:
-                        pos = k
-            eps_prefix = self._eps1(i, b) + max(0, eps_prefix - p)
-        return pos
+                    pos = k
+            elif blocking[b]:
+                pending += 1
+        if pos < 0:
+            return None
+        table = self._f[i] if lowering else self._e[i]
+        return w[:pos] + (table[w[pos]],) + w[pos + 1 :]
 
     def tensor_f(self, i, w):
-        pos = self._act_position(i, w, lowering=True)
-        moved = self.spin_f(i, w[pos])
-        if moved is None:
-            return None
-        return w[:pos] + (moved,) + w[pos + 1 :]
+        return self._move(i, w, True)
 
     def tensor_e(self, i, w):
-        pos = self._act_position(i, w, lowering=False)
-        moved = self.spin_e(i, w[pos])
-        if moved is None:
-            return None
-        return w[:pos] + (moved,) + w[pos + 1 :]
+        return self._move(i, w, False)
 
     def eps(self, i, w):
-        """Largest power of e_i that does not kill w, by repeated application."""
-        count = 0
-        cur = self.tensor_e(i, w)
-        while cur is not None:
-            count += 1
-            cur = self.tensor_e(i, cur)
-        return count
+        """Largest power of e_i that does not kill w, in one pass.
+
+        eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)), folded from the left.
+        """
+        self._check_index(i)
+        eps1, phi1 = self._eps1[i], self._phi1[i]
+        total = 0
+        for b in w:
+            total = eps1[b] + max(0, total - phi1[b])
+        return total
 
     def phi(self, i, w):
-        """Largest power of f_i that does not kill w, by repeated application."""
-        count = 0
-        cur = self.tensor_f(i, w)
-        while cur is not None:
-            count += 1
-            cur = self.tensor_f(i, cur)
-        return count
+        """Largest power of f_i that does not kill w, in one pass.
+
+        phi(a (x) b) = phi(a) + max(0, phi(b) - eps(a)), folded from the right.
+        """
+        self._check_index(i)
+        eps1, phi1 = self._eps1[i], self._phi1[i]
+        total = 0
+        for b in reversed(w):
+            total = phi1[b] + max(0, total - eps1[b])
+        return total
 
     def is_highest_weight(self, w):
         return all(self.tensor_e(i, w) is None for i in range(1, self.n + 1))
@@ -169,29 +200,31 @@ class SpinCrystal:
     def is_lowest_weight(self, w):
         return all(self.tensor_f(i, w) is None for i in range(1, self.n + 1))
 
-    def to_highest_weight(self, w):
-        moved = True
-        while moved:
-            moved = False
-            for i in range(1, self.n + 1):
-                up = self.tensor_e(i, w)
-                if up is not None:
-                    w = up
-                    moved = True
-                    break
+    def _walk(self, w, step, path):
+        # Apply each index until it stops moving, cycling through 1..n; the
+        # walk ends after n consecutive indices fail to move.
+        n = self.n
+        i = 1
+        stuck = 0
+        while stuck < n:
+            moved = step(i, w)
+            if moved is None:
+                stuck += 1
+                i = i % n + 1
+            else:
+                w = moved
+                stuck = 0
+                if path is not None:
+                    path.append(i)
         return w
 
-    def to_lowest_weight(self, w):
-        moved = True
-        while moved:
-            moved = False
-            for i in range(1, self.n + 1):
-                down = self.tensor_f(i, w)
-                if down is not None:
-                    w = down
-                    moved = True
-                    break
-        return w
+    def to_highest_weight(self, w, path=None):
+        """The top of w's component; appends the e-indices used to path, if given."""
+        return self._walk(w, self.tensor_e, path)
+
+    def to_lowest_weight(self, w, path=None):
+        """The bottom of w's component; appends the f-indices used to path, if given."""
+        return self._walk(w, self.tensor_f, path)
 
     def component_members(self, w, budget_bits=DEFAULT_BUDGET_BITS):
         """All words in the component of w, found by lowering from its top."""

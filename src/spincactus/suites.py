@@ -27,6 +27,7 @@ from .clifford import (
     wedge_insert,
 )
 from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal
+from .errors import BudgetExceededError, ValidationError
 from .weights import Weight, is_dominant_d, spinor_weights, w0_image
 from .youngt import (
     ShortYoungDiagram,
@@ -78,7 +79,7 @@ def tensor_f_reference(crystal, i, w):
         moved = crystal.spin_f(i, w[0])
         return None if moved is None else (moved,)
     head, last = w[:-1], w[-1]
-    if _eps_reference(crystal, i, head) >= crystal._phi1(i, last):
+    if _eps_reference(crystal, i, head) >= _phi1_reference(crystal, i, last):
         moved = tensor_f_reference(crystal, i, head)
         return None if moved is None else moved + (last,)
     moved = crystal.spin_f(i, last)
@@ -90,11 +91,15 @@ def tensor_e_reference(crystal, i, w):
         moved = crystal.spin_e(i, w[0])
         return None if moved is None else (moved,)
     head, last = w[:-1], w[-1]
-    if _eps_reference(crystal, i, head) > crystal._phi1(i, last):
+    if _eps_reference(crystal, i, head) > _phi1_reference(crystal, i, last):
         moved = tensor_e_reference(crystal, i, head)
         return None if moved is None else moved + (last,)
     moved = crystal.spin_e(i, last)
     return None if moved is None else head + (moved,)
+
+
+def _phi1_reference(crystal, i, b):
+    return 0 if crystal.spin_f(i, b) is None else 1
 
 
 def _eps_reference(crystal, i, w):
@@ -104,6 +109,62 @@ def _eps_reference(crystal, i, w):
         count += 1
         cur = tensor_e_reference(crystal, i, cur)
     return count
+
+
+class XiTableReference(XiCache):
+    """Oracle for XiCache: xi by whole-component tables, s_pq by its recursion.
+
+    The top word of each component maps to its bottom word, and the
+    assignment propagates down the f_i edges with the relabeling theta,
+    asserting that every path gives the same image. One table is kept per
+    visited component. s_{p,q} follows s_{p,q} = sigma_{p,p,q} o s_{p+1,q},
+    with the commutor built on the table xi.
+    """
+
+    def __init__(self, crystal, budget_bits=DEFAULT_BUDGET_BITS):
+        super().__init__(crystal, budget_bits)
+        self._tables = {}
+
+    def _build(self, hw):
+        crystal = self.crystal
+        limit = 1 << self.budget_bits
+        lw = crystal.to_lowest_weight(hw)
+        table = {hw: lw}
+        queue = [hw]
+        while queue:
+            cur = queue.pop()
+            image = table[cur]
+            for i in range(1, crystal.n + 1):
+                down = crystal.tensor_f(i, cur)
+                if down is None:
+                    continue
+                up = crystal.tensor_e(self._theta(i), image)
+                assert up is not None, "xi propagation left the component"
+                if down in table:
+                    assert table[down] == up, (
+                        "xi propagation is path-dependent; theta/w0 rule is wrong"
+                    )
+                    continue
+                if len(table) >= limit:
+                    raise BudgetExceededError(self.budget_bits + 1, self.budget_bits)
+                table[down] = up
+                queue.append(down)
+        return table
+
+    def xi_word(self, w):
+        hw = self.crystal.to_highest_weight(w)
+        table = self._tables.get(hw)
+        if table is None:
+            table = self._build(hw)
+            self._tables[hw] = table
+        return table[w]
+
+    def s_pq(self, w, p, q):
+        if not 1 <= p <= q <= len(w):
+            raise ValidationError(f"need 1 <= p <= q <= {len(w)}, got {(p, q)}")
+        if p == q:
+            return w
+        return self.sigma_pqr(self.s_pq(w, p + 1, q), p, q, p)
 
 
 def suite_crystal_axioms(n_values=(2, 3), big_n_max=4):

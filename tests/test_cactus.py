@@ -11,6 +11,7 @@ from spincactus.cactus import (
 from spincactus.celldiag import diagram_of_weight, enumerate_delta, enumerate_tables
 from spincactus.crystal import SpinCrystal
 from spincactus.errors import ValidationError
+from spincactus.suites import XiTableReference
 from spincactus.weights import Weight, w0_image
 
 
@@ -235,8 +236,8 @@ def test_apply_cactus_word_rightmost_first():
 
 
 def test_worked_example_full_reversal():
-    # the length-7 rank-4 table: the reversal acts within default budget
-    # because only the visited components are materialized
+    # the length-7 rank-4 table: xi walks one path per call and never builds
+    # a component, so the reversal needs no budget
     from spincactus.celldiag import table_from_steps
     from test_celldiag import WORKED_STEPS
 
@@ -245,3 +246,23 @@ def test_worked_example_full_reversal():
     moved = act_on_table(cache, [(1, 7)], t)
     assert moved.shape() == t.shape()
     assert act_on_table(cache, [(1, 7)], moved) == t
+
+
+@pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 4)])
+def test_path_xi_matches_table_reference(n, big_n_max):
+    c = SpinCrystal(n)
+    cache, reference = XiCache(c), XiTableReference(c)
+    for big_n in range(1, big_n_max + 1):
+        for w in c.all_words(big_n):
+            assert cache.xi_word(w) == reference.xi_word(w)
+
+
+@pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 4)])
+def test_closed_form_s_pq_matches_recursion(n, big_n_max):
+    c = SpinCrystal(n)
+    cache, reference = XiCache(c), XiTableReference(c)
+    for big_n in range(1, big_n_max + 1):
+        for w in c.all_words(big_n):
+            for p in range(1, big_n + 1):
+                for q in range(p, big_n + 1):
+                    assert cache.s_pq(w, p, q) == reference.s_pq(w, p, q)

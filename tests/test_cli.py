@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spincactus.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 
 
@@ -211,3 +213,51 @@ def test_every_verify_suite_passes_small(capsys):
         assert code == EXIT_OK, name
         report = json.loads(out)
         assert report["pass"] is True and report["schema"] == "cactus-crystal/1"
+
+
+WORKED_TABLE = json.dumps(
+    {"steps2": [[1, 1, 1, -1], [1, 1, 1, 1], [1, -1, -1, -1], [1, 1, 1, 1],
+                [1, -1, -1, -1], [-1, 1, 1, -1], [-1, -1, -1, 1]]}
+)
+
+
+def test_act_needs_no_budget(capsys):
+    # xi walks one path instead of building a component, so even a tiny
+    # budget lets the full reversal of the worked table through
+    code, out, _ = run(
+        capsys, "act", "--word", "s(1,7)", "--budget-bits", "4", "--payload", WORKED_TABLE
+    )
+    assert code == EXIT_OK
+    assert len(json.loads(out)["record"]["steps2"]) == 7
+
+
+MALFORMED = [
+    ["act", "--word", "s(1,2)", "--payload", "{}"],
+    ["act", "--word", "s(1,2)", "--payload", "[1]"],
+    ["act", "--word", "s(1,2)", "--payload", '{"steps2": 5}'],
+    ["act", "--word", "s(1,2)", "--payload", '{"steps2": [[1, "a"]]}'],
+    ["act", "--word", "", "--payload", '{"steps2": [[Infinity, 1]]}'],
+    ["convert", "sssyt", "table", "--n", "2", "--payload", "[]"],
+    ["convert", "gtp", "table", "--nu", "4,1", "--N", "4", "--n", "4",
+     "--payload", '{"betas2": 3, "z": 1}'],
+    ["convert", "gtp", "table", "--nu", "4,1",
+     "--payload", '{"betas2": [[8, -2], [4]], "z": -2}'],
+    ["verify", "census", "--N", "2", "--budget-bits", "-1"],
+    ["verify", "census", "--N", "2", "--budget-bits", "25"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED)
+def test_malformed_input_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "25"])
+def test_malformed_budget_env_is_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CACTUS_BUDGET_BITS", raw)
+    code, _, err = run(capsys, "verify", "census", "--N", "2")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")

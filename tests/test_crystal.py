@@ -89,14 +89,55 @@ def test_highest_weight_examples():
     assert c.word_weight((1, 3)).coords2 == (2, 0)
 
 
+def _repeated(op, i, w):
+    count = 0
+    w = op(i, w)
+    while w is not None:
+        count += 1
+        w = op(i, w)
+    return count
+
+
 def test_matches_reference_recursion():
-    for n in (2, 3):
+    for n, big_n_max in ((2, 5), (3, 4)):
         c = SpinCrystal(n)
-        for big_n in (1, 2, 3):
+        for big_n in range(1, big_n_max + 1):
             for w in c.all_words(big_n):
                 for i in range(1, n + 1):
                     assert c.tensor_f(i, w) == tensor_f_reference(c, i, w)
                     assert c.tensor_e(i, w) == tensor_e_reference(c, i, w)
+
+
+@pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 4)])
+def test_eps_phi_match_repeated_application(n, big_n_max):
+    c = SpinCrystal(n)
+    for big_n in range(1, big_n_max + 1):
+        for w in c.all_words(big_n):
+            for i in range(1, n + 1):
+                assert c.eps(i, w) == _repeated(c.tensor_e, i, w)
+                assert c.phi(i, w) == _repeated(c.tensor_f, i, w)
+
+
+def test_extremal_paths_replay_to_the_word():
+    for n in (2, 3):
+        c = SpinCrystal(n)
+        for w in c.all_words(3):
+            for to_extreme, back in ((c.to_highest_weight, c.tensor_f),
+                                     (c.to_lowest_weight, c.tensor_e)):
+                path = []
+                cur = to_extreme(w, path)
+                assert cur == to_extreme(w)
+                for i in reversed(path):
+                    cur = back(i, cur)
+                assert cur == w
+
+
+def test_tensor_index_is_checked():
+    c = SpinCrystal(2)
+    for i in (0, 3, -1):
+        for op in (c.tensor_e, c.tensor_f, c.eps, c.phi):
+            with pytest.raises(ValidationError):
+                op(i, (0, 3))
 
 
 def test_axiom_suite_passes():
