@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .weights import (
     Weight,
+    as_int,
     delta_membership,
     is_dominant_d,
     omega_minus,
@@ -32,8 +33,8 @@ class CellDiagram:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "l", tuple(int(x) for x in self.l))
-        object.__setattr__(self, "r", tuple(int(x) for x in self.r))
+        object.__setattr__(self, "l", tuple(as_int(x) for x in self.l))
+        object.__setattr__(self, "r", tuple(as_int(x) for x in self.r))
         n = len(self.r)
         if n < 2 or len(self.l) != n:
             raise ValidationError("diagram needs rows l, r of equal length >= 2")
@@ -219,7 +220,7 @@ def steps_from_diagram_chain(chain) -> CellTable:
 
 
 def enumerate_tables(shape: CellDiagram) -> list[CellTable]:
-    """All tables of the given shape, descending lex order on flattened steps."""
+    """All tables of the given shape, generated in descending lex order on flattened steps."""
     n = shape.height
     big_n = shape.length
     target = weight_of_diagram(shape).coords2
@@ -246,5 +247,4 @@ def enumerate_tables(shape: CellDiagram) -> list[CellTable]:
             extend(prefix_steps + [mu], new_total, k + 1)
 
     extend([], [0] * n, 0)
-    out.sort(key=CellTable.flat2, reverse=True)
     return out

@@ -74,12 +74,7 @@ def cmd_enumerate(args):
     kind = args.kind
     records = []
     lines = []
-    if kind in ("delta", "diagrams"):
-        _need_dims(args)
-    elif kind == "tables":
-        _need_dims(args, need_n=False)
-    else:
-        _need_dims(args)
+    _need_dims(args, need_n=kind != "tables")
     if kind == "delta":
         lams = celldiag.enumerate_delta(args.n, args.N)
         records = [lam.to_json() for lam in lams]
@@ -138,28 +133,16 @@ def _decode(from_json, data, **kwargs):
         raise ValidationError(f"malformed record: {exc!r}") from exc
 
 
-def _payload_to_table(args, data):
-    return _decode(celldiag.CellTable.from_json, data)
-
-
-def _payload_to_sssyt(args, data):
-    return _decode(youngt.SSYTable.from_json, data, n=args.n)
-
-
-def _payload_to_gtp(args, data):
-    return _decode(youngt.GTPattern.from_json, data)
-
-
 def _convert(args, source_kind, target_kind, data):
     if source_kind == "table":
-        table = _payload_to_table(args, data)
+        table = _decode(celldiag.CellTable.from_json, data)
         chain = youngt.y_map(table)
     elif source_kind == "sssyt":
-        chain = _payload_to_sssyt(args, data)
+        chain = _decode(youngt.SSYTable.from_json, data, n=args.n)
         table = youngt.y_inverse(chain)
     elif source_kind == "gtp":
         nu = _require_nu(args)
-        chain = youngt.j_inverse(_payload_to_gtp(args, data), nu)
+        chain = youngt.j_inverse(_decode(youngt.GTPattern.from_json, data), nu)
         table = youngt.y_inverse(chain)
     else:
         raise ValidationError(f"unknown source kind {source_kind}")
@@ -194,7 +177,7 @@ def cmd_convert(args):
 
 def cmd_act(args):
     data = _load_payload(args)
-    table = _payload_to_table(args, data)
+    table = _decode(celldiag.CellTable.from_json, data)
     gens = cactus.parse_cactus_word(args.word)
     spin = crystal.SpinCrystal(table.height)
     cache = cactus.XiCache(spin, _budget_bits(args))
@@ -271,13 +254,13 @@ def cmd_export(args):
         else:
             out = crystal.crystal_dot(spin, args.N, budget)
     elif args.what == "component":
-        table = _payload_to_table(args, _load_payload(args))
+        table = _decode(celldiag.CellTable.from_json, _load_payload(args))
         spin = crystal.SpinCrystal(table.height)
         word = spin.table_to_word(table)
         _, members = spin.component_members(word, budget)
         out = crystal.crystal_dot(spin, table.length, budget, words=members)
     elif args.what == "orbit":
-        table = _payload_to_table(args, _load_payload(args))
+        table = _decode(celldiag.CellTable.from_json, _load_payload(args))
         spin = crystal.SpinCrystal(table.height)
         gens = cactus.parse_cactus_word(args.word or "")
         cache = cactus.XiCache(spin, budget)

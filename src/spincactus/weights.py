@@ -13,6 +13,16 @@ from itertools import product
 from .errors import ValidationError
 
 
+def as_int(x):
+    """Return x if it is an int; raise ValidationError for anything else.
+
+    Records come from JSON, where 1.5, true and "1" must not pass as integers.
+    """
+    if type(x) is not int:
+        raise ValidationError(f"expected an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Weight:
     """A weight of o_{2n}, coordinates doubled to keep half-integers exact."""
@@ -20,7 +30,7 @@ class Weight:
     coords2: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords2", tuple(int(c) for c in self.coords2))
+        object.__setattr__(self, "coords2", tuple(as_int(c) for c in self.coords2))
         if len(self.coords2) < 2:
             raise ValidationError(f"rank must be at least 2, got {len(self.coords2)}")
 
@@ -66,7 +76,7 @@ class OrthWeight:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coords2", tuple(int(c) for c in self.coords2))
+        object.__setattr__(self, "coords2", tuple(as_int(c) for c in self.coords2))
         if self.k < 1:
             raise ValidationError(f"ambient rank must be positive, got {self.k}")
         if len(self.coords2) != self.k // 2:

@@ -10,10 +10,11 @@ connected by the bijections y_map and j_map below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .celldiag import CellDiagram, CellTable, diagram_of_weight, steps_from_diagram_chain
 from .errors import ValidationError
-from .weights import OrthWeight, Weight
+from .weights import OrthWeight, Weight, as_int
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class ShortYoungDiagram:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(int(x) for x in self.rows))
+        object.__setattr__(self, "rows", tuple(as_int(x) for x in self.rows))
         if self.N < 0 or self.n < 2:
             raise ValidationError("need ambient height >= 0 and width bound >= 2")
         rows = self.rows
@@ -135,50 +136,42 @@ def syd_to_orthweight(v: ShortYoungDiagram, k: int, sign: int = 1) -> OrthWeight
     return OrthWeight(tuple(2 * c for c in coords), k)
 
 
+def _child_ranges(beta: OrthWeight) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) on each doubled coordinate of a rank k-1 row under beta.
+
+    The branching rule of Molev (arXiv math/0211289) is the chain
+    b_1 >= m_1 >= b_2 >= m_2 >= ..., so b_j >= m_j >= b_{j+1}; it ends with
+    b_d >= |m_d| at odd k and with m_{d-1} >= |b_d| at even k. Every bound
+    depends on beta alone.
+    """
+    b = beta.coords2
+    d = len(b)
+    if beta.k % 2 == 1:
+        return [(b[j + 1], b[j]) for j in range(d - 1)] + [(-b[-1], b[-1])]
+    if d < 2:
+        return []
+    return [(b[j + 1], b[j]) for j in range(d - 2)] + [(abs(b[-1]), b[-2])]
+
+
 def interlaces(beta: OrthWeight, mu: OrthWeight) -> bool:
-    """The branching condition from rank k down to rank k-1."""
+    """The branching condition from rank k down to rank k-1: every coordinate
+    of mu lies within its bound from _child_ranges(beta)."""
     if beta.k != mu.k + 1:
         raise ValidationError(f"ranks must be adjacent, got {beta.k} and {mu.k}")
-    b, m = beta.coords2, mu.coords2
-    if beta.k % 2 == 1:
-        d = beta.k // 2
-        # b and m both have d entries; the chain ends with b_d >= |m_d|
-        for j in range(d - 1):
-            if not (b[j] >= m[j] >= b[j + 1]):
-                return False
-        return b[d - 1] >= abs(m[d - 1])
-    d = beta.k // 2
-    # b has d entries, m has d-1; the chain ends with m_{d-1} >= |b_d|
-    for j in range(d - 2):
-        if not (b[j] >= m[j] >= b[j + 1]):
-            return False
-    if d >= 2 and not (b[d - 2] >= m[d - 2] >= abs(b[d - 1])):
-        return False
-    return True
+    return all(lo <= m <= hi for (lo, hi), m in zip(_child_ranges(beta), mu.coords2))
 
 
 def branch_syd(v: ShortYoungDiagram) -> list[ShortYoungDiagram]:
-    """All members of SYD(N-1, n) under v by a horizontal strip, descending lex."""
+    """All members of SYD(N-1, n) under v by a horizontal strip, generated in descending lex."""
     if v.N < 1:
         raise ValidationError("cannot branch below height 0")
     rows = v.rows
     out = []
-
-    def extend(prefix, i):
-        if i == len(rows):
-            cand = tuple(x for x in prefix if x > 0)
-            try:
-                out.append(ShortYoungDiagram(cand, v.N - 1, v.n))
-            except ValidationError:
-                pass
-            return
-        hi = rows[i]
-        lo = rows[i + 1] if i + 1 < len(rows) else 0
-        for x in range(hi, lo - 1, -1):
-            extend(prefix + [x], i + 1)
-
-    extend([], 0)
-    out.sort(key=lambda s: s.rows, reverse=True)
+    for cand in product(*(range(hi, lo - 1, -1) for hi, lo in zip(rows, rows[1:] + (0,)))):
+        try:
+            out.append(ShortYoungDiagram(tuple(x for x in cand if x > 0), v.N - 1, v.n))
+        except ValidationError:
+            pass
     return out
 
 
@@ -222,7 +215,7 @@ class SSYTable:
             raise ValidationError("width bound n is required to read a chain")
         return cls(
             tuple(
-                ShortYoungDiagram(tuple(rows), k, width)
+                ShortYoungDiagram(tuple(rows), k, as_int(width))
                 for k, rows in enumerate(data["chain"], 1)
             )
         )
@@ -270,7 +263,7 @@ class GTPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(self.betas))
-        object.__setattr__(self, "z", int(self.z))
+        object.__setattr__(self, "z", as_int(self.z))
         if not self.betas:
             raise ValidationError("a pattern has at least the rank-3 row")
         top = self.betas[0].k
@@ -334,118 +327,73 @@ def j_map(s: SSYTable) -> GTPattern:
         raise AssertionError(f"j_map produced an invalid pattern: {exc}") from exc
 
 
-def _candidates_from_beta(beta: OrthWeight, n: int):
-    """Diagrams in SYD(k, n) that the given pattern row can encode."""
-    k = beta.k
-    if any(c % 2 for c in beta.coords2):
-        return []
-    halves = [c // 2 for c in beta.coords2]
-    rows = tuple(abs(x) for x in halves if x != 0)
-    cands = []
-    try:
-        first = ShortYoungDiagram(rows, k, n)
-    except ValidationError:
-        return []
-    if halves and halves[-1] < 0:
-        # a sign twist is only produced at self-associated levels
-        return [first] if is_self_associated(first) else []
-    cands.append(first)
-    other = associated(first)
-    if other.rows != first.rows and other.rows and other.rows[0] <= n:
-        cands.append(other)
-    return cands
+def _level_options(p: GTPattern, k: int, n: int) -> list[ShortYoungDiagram]:
+    """The members of SYD(k, n) p can record at level k, the recorded one first:
+    |beta_k|/2 then its associate at k >= 3 (none if a coordinate is odd), else from z."""
+    if k >= 3:
+        coords2 = p.betas[p.top_rank - k].coords2
+        if any(c % 2 for c in coords2):
+            return []
+        candidates = [tuple(abs(c) // 2 for c in coords2 if c)]
+    elif k == 2:
+        candidates = [(abs(p.z),)] if p.z else [(), (1, 1)]
+    else:
+        candidates = [(1,)] if p.z < 0 else [(), (1,)]
+    options = []
+    for rows in candidates:
+        try:
+            options.append(ShortYoungDiagram(rows, k, n))
+        except ValidationError:
+            pass
+    if k >= 3 and options:
+        options.append(associated(options[0]))
+    return options
 
 
 def j_inverse(p: GTPattern, v: ShortYoungDiagram) -> SSYTable:
-    """The unique chain of shape v mapping to p; raises if p is not in the image."""
+    """The unique chain of shape v mapping to p; raises if p is not in the image.
+
+    Read top down, level k is the first of its _level_options that grows into
+    level k+1 by a horizontal strip. Both options can do so only below a
+    self-associated level k+1; their sizes differ by one, and j_map recorded
+    the odd one as a negative last coordinate of beta_{k+1}. A final j_map
+    comparison guards the result."""
     big_n = v.N
     if p.top_rank != big_n:
         raise ValidationError(f"pattern top rank {p.top_rank} does not match shape height {big_n}")
     if big_n < 3:
         raise ValidationError("patterns are only defined for chains of length >= 3")
-    beta_at = {big_n - off: beta for off, beta in enumerate(p.betas)}
-    if _consistent_top(p.betas[0], v) is False:
+    if v not in _level_options(p, big_n, v.n):
         raise ValidationError("pattern top row does not encode the given shape")
-
-    solutions = []
-
-    def extend(chain_tail):
-        # chain_tail is the partial chain from level k_cur up to N
-        k_cur = big_n - len(chain_tail) + 1
-        if k_cur == 1:
-            candidate = SSYTable(tuple(chain_tail))
-            if j_map(candidate) == p:
-                solutions.append(candidate)
-            return
-        level = k_cur - 1
-        upper = chain_tail[0]
-        if level >= 3:
-            cands = _candidates_from_beta(beta_at[level], v.n)
-        elif level == 2:
-            size = abs(p.z)
-            cands = []
-            try:
-                cands.append(ShortYoungDiagram((size,) if size else (), 2, v.n))
-            except ValidationError:
-                pass
-            if size == 0:
-                cands.append(ShortYoungDiagram((1, 1), 2, v.n))
+    chain = [v]
+    for k in range(big_n - 1, 0, -1):
+        upper = chain[-1]
+        parity = None
+        if k >= 2 and is_self_associated(upper):
+            parity = int(p.betas[big_n - k - 1].coords2[-1] < 0)
+        for cand in _level_options(p, k, v.n):
+            fits = parity is None or cand.size() % 2 == parity
+            if fits and upper.horizontal_strip_over(cand):
+                chain.append(cand)
+                break
         else:
-            cands = [ShortYoungDiagram((), 1, v.n)]
-            if p.z <= 0:
-                cands.append(ShortYoungDiagram((1,), 1, v.n))
-        for cand in cands:
-            if upper.horizontal_strip_over(cand):
-                extend([cand] + chain_tail)
-
-    extend([v])
-    if not solutions:
+            raise ValidationError("pattern is not in the image of the chain bijection")
+    s = SSYTable(tuple(reversed(chain)))
+    if j_map(s) != p:
         raise ValidationError("pattern is not in the image of the chain bijection")
-    assert len(solutions) == 1, "chain reconstruction must be unique"
-    return solutions[0]
-
-
-def _consistent_top(beta: OrthWeight, v: ShortYoungDiagram):
-    return any(c.rows == v.rows for c in _candidates_from_beta(beta, v.n))
+    return s
 
 
 def _interlacing_children(beta: OrthWeight):
-    """All dominant integer rows of the next rank down, per the branching chains."""
-    halves = [c // 2 for c in beta.coords2]
-    k = beta.k
-    out = []
-    if k % 2 == 1:
-        d = k // 2
-        # child has d entries, the last one allowed to be negative
-
-        def build(prefix, j):
-            if j == d - 1:
-                for x in range(-halves[d - 1], halves[d - 1] + 1):
-                    out.append(prefix + [x])
-                return
-            for x in range(halves[j + 1], halves[j] + 1):
-                build(prefix + [x], j + 1)
-
-        build([], 0)
-    else:
-        d = k // 2
-        # child has d-1 entries, all at least |last entry of beta|
-        lowest = abs(halves[d - 1])
-
-        def build(prefix, j):
-            if j == d - 1:
-                out.append(prefix)
-                return
-            lo = halves[j + 1] if j + 1 < d - 1 else lowest
-            for x in range(lo, halves[j] + 1):
-                build(prefix + [x], j + 1)
-
-        build([], 0)
-    return [OrthWeight(tuple(2 * x for x in row), k - 1) for row in out]
+    """All rows of the next rank down that interlace beta, descending lex, each
+    coordinate stepping down by 2 from its upper bound (so of beta's parity)."""
+    ranges = (range(hi, lo - 1, -2) for lo, hi in _child_ranges(beta))
+    return [OrthWeight(row, beta.k - 1) for row in product(*ranges)]
 
 
 def enumerate_gtp(v: ShortYoungDiagram) -> list[GTPattern]:
-    """All patterns whose top row encodes v, descending lex order."""
+    """All patterns whose top row encodes v, generated in descending (betas, z)
+    order: sign +1 before -1 on top, children descending, z from top3 down."""
     if v.N < 3:
         raise ValidationError("patterns are only defined for ambient height >= 3")
     if is_self_associated(v):
@@ -462,7 +410,6 @@ def enumerate_gtp(v: ShortYoungDiagram) -> list[GTPattern]:
     out = []
     for chain in stacks:
         top3 = chain[-1].coords2[0] // 2
-        for z in range(-top3, top3 + 1):
+        for z in range(top3, -top3 - 1, -1):
             out.append(GTPattern(tuple(chain), z))
-    out.sort(key=lambda p: (tuple(b.coords2 for b in p.betas), p.z), reverse=True)
     return out

@@ -213,9 +213,11 @@ def test_enumerate_tables_against_brute_force():
 
 
 def test_enumerate_tables_order_is_descending():
-    for lam in enumerate_delta(2, 4):
-        flats = [t.flat2() for t in enumerate_tables(diagram_of_weight(lam, 4))]
-        assert flats == sorted(flats, reverse=True)
+    for n in (2, 3, 4):
+        for big_n in range(1, 7):
+            for lam in enumerate_delta(n, big_n):
+                flats = [t.flat2() for t in enumerate_tables(diagram_of_weight(lam, big_n))]
+                assert flats == sorted(flats, reverse=True)
 
 
 def test_table_json_round_trip():

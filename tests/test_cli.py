@@ -244,6 +244,15 @@ MALFORMED = [
      "--payload", '{"betas2": [[8, -2], [4]], "z": -2}'],
     ["verify", "census", "--N", "2", "--budget-bits", "-1"],
     ["verify", "census", "--N", "2", "--budget-bits", "25"],
+    # numbers in records must be integers, not floats, booleans or strings
+    ["act", "--word", "", "--payload", '{"steps2": [[1.5, 1]]}'],
+    ["act", "--word", "", "--payload", '{"steps2": [[1, 1], [true, -1]]}'],
+    ["convert", "gtp", "table", "--N", "4", "--n", "4", "--nu", "4,1",
+     "--payload", '{"betas2": [[8, -2], [4]], "z": -2.7}'],
+    ["convert", "sssyt", "table", "--n", "4",
+     "--payload", '{"chain": [[1.9], [2], [2, 1], [4, 1]]}'],
+    ["convert", "sssyt", "table",
+     "--payload", '{"chain": [[1], [2], [2, 1], [4, 1]], "n": 4.0}'],
 ]
 
 

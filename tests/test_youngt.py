@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from spincactus.celldiag import (
@@ -12,6 +14,7 @@ from spincactus.youngt import (
     GTPattern,
     SSYTable,
     ShortYoungDiagram,
+    _interlacing_children,
     associated,
     branch_syd,
     count_sssyt,
@@ -133,6 +136,32 @@ def test_syd_to_orthweight():
         syd_to_orthweight(syd((1, 1, 1), 4, 4), 4)  # first column too long
     with pytest.raises(ValidationError):
         syd_to_orthweight(syd((2,), 4, 4), 4, -1)  # not enough nonzero rows
+
+
+# the branching chains of Molev (arXiv math/0211289) written out per rank k,
+# for beta = (b1, b2, ...) at rank k and mu = (m1, m2, ...) at rank k - 1
+BRANCHING_CHAINS = {
+    4: lambda b, m: b[0] >= m[0] >= abs(b[1]),
+    5: lambda b, m: b[0] >= m[0] >= b[1] >= abs(m[1]),
+    6: lambda b, m: b[0] >= m[0] >= b[1] >= m[1] >= abs(b[2]),
+    7: lambda b, m: b[0] >= m[0] >= b[1] >= m[1] >= b[2] >= abs(m[2]),
+}
+
+
+def test_branching_rule_matches_chains():
+    # every row with doubled entries of one parity in -6..6, dominant or not;
+    # the children of beta are the interlacing rows of the box, descending
+    for k, chain in BRANCHING_CHAINS.items():
+        for parity in (0, 1):
+            box = range(-6 + parity, 7, 2)
+            rows_below = list(product(box, repeat=(k - 1) // 2))
+            weights_below = [OrthWeight(m, k - 1) for m in rows_below]
+            for b in product(box, repeat=k // 2):
+                beta = OrthWeight(b, k)
+                for m, mu in zip(rows_below, weights_below):
+                    assert interlaces(beta, mu) == chain(b, m), (b, m)
+                below = sorted((m for m in rows_below if chain(b, m)), reverse=True)
+                assert [c.coords2 for c in _interlacing_children(beta)] == below
 
 
 def test_interlaces():
@@ -269,19 +298,45 @@ def test_j_map_requires_three_levels():
 
 
 def test_j_round_trip_exhaustive():
+    # every chain comes back from its pattern; a shape and its associate share
+    # their patterns (the top row records the shorter one), and every pattern
+    # of any other shape at the same (n, N) is rejected
     for n in (2, 3):
         for big_n in (3, 4, 5):
-            for lam in enumerate_delta(n, big_n):
-                nu = f_map(diagram_of_weight(lam, big_n))
+            shapes = [f_map(diagram_of_weight(lam, big_n)) for lam in enumerate_delta(n, big_n)]
+            patterns = {nu: enumerate_gtp(nu) for nu in shapes}
+            for nu in shapes:
                 chains = enumerate_sssyt(nu)
-                patterns = enumerate_gtp(nu)
-                assert len(chains) == len(patterns)
+                assert len(chains) == len(patterns[nu])
                 images = set()
                 for s in chains:
                     p = j_map(s)
                     images.add(p)
                     assert j_inverse(p, nu) == s
-                assert images == set(patterns)
+                assert images == set(patterns[nu])
+                for other in shapes:
+                    if shorter(other) == shorter(nu):
+                        assert patterns[other] == patterns[nu]
+                        continue
+                    for p in patterns[other]:
+                        with pytest.raises(ValidationError):
+                            j_inverse(p, nu)
+
+
+def test_enumerators_generate_in_descending_order():
+    for n in (2, 3, 4):
+        for big_n in range(1, 7):
+            for lam in enumerate_delta(n, big_n):
+                nu = f_map(diagram_of_weight(lam, big_n))
+                branched = [v.rows for v in branch_syd(nu)]
+                assert branched == sorted(branched, reverse=True)
+                chains = [tuple(v.rows for v in s.chain) for s in enumerate_sssyt(nu)]
+                assert chains == sorted(chains, reverse=True)
+                if big_n >= 3:
+                    keys = [
+                        (tuple(b.coords2 for b in p.betas), p.z) for p in enumerate_gtp(nu)
+                    ]
+                    assert keys == sorted(keys, reverse=True)
 
 
 def test_enumerate_gtp_counts():
