@@ -3,8 +3,12 @@
 The ambient space has one basis vector per pair (k, i) with k in 1..N and
 i in 1..n, enumerated as (k-1)*n + (i-1). Monomials are bitmasks over these
 indices, kept sorted ascending, and every operator sign is a transposition
-count against that order. Coefficients are exact rationals; the operators in
-scope only ever introduce halves, so denominators stay powers of two.
+count against that order. An operator word acts monomial by monomial: each
+letter either kills the monomial (wedge onto a set bit, contraction of a clear
+one) or toggles its bit, flipping the sign when an odd number of set bits lies
+below it; only a surviving monomial touches its coefficient, once. Coefficients
+are exact rationals; the operators in scope only ever introduce halves, so
+denominators stay powers of two.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class ExteriorVector:
 
 
 def _sign_below(mask, bit_index):
-    return -1 if bin(mask & ((1 << bit_index) - 1)).count("1") % 2 else 1
+    return -1 if (mask & ((1 << bit_index) - 1)).bit_count() & 1 else 1
 
 
 def wedge_insert(idx, x: ExteriorVector) -> ExteriorVector:
@@ -112,15 +116,20 @@ class OperatorSpec:
         return OperatorSpec(tuple((c * coeff, word) for coeff, word in self.terms))
 
     def apply(self, x: ExteriorVector) -> ExteriorVector:
-        out = ExteriorVector()
-        for coeff, word in self.terms:
-            cur = x
-            for kind, idx in reversed(word):
-                cur = wedge_insert(idx, cur) if kind == "M" else contract(idx, cur)
-                if cur.is_zero():
-                    break
-            out = out + cur.scaled(coeff)
-        return out
+        out = {}
+        for start, c in x.terms.items():
+            for coeff, word in self.terms:
+                mask, below = start, 0
+                for kind, idx in reversed(word):
+                    bit = 1 << idx
+                    if (kind == "M") == bool(mask & bit):
+                        break  # wedge onto a set bit or contraction of a clear one
+                    below += (mask & (bit - 1)).bit_count()
+                    mask ^= bit
+                else:
+                    prev = out.get(mask, ZERO)
+                    out[mask] = prev - coeff * c if below & 1 else prev + coeff * c
+        return ExteriorVector(out)
 
 
 @dataclass
@@ -172,29 +181,22 @@ class ExteriorAlgebra:
         kind, i, j = label
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValidationError(f"column indices out of range in {label}")
-        terms = []
-        if kind == "gl":
-            # half the commutator of wedge and contraction, summed over rows
-            for k in range(1, self.N + 1):
-                a, b = self.index(k, i), self.index(k, j)
-                terms.append((HALF, (("M", a), ("D", b))))
-                terms.append((-HALF, (("D", b), ("M", a))))
-        elif kind == "raise":
-            if i == j:
-                raise ValidationError(f"{kind} operators need i != j")
-            for k in range(1, self.N + 1):
-                terms.append(
-                    (ONE, (("M", self.index(k, i)), ("M", self.index(self.kbar(k), j))))
-                )
-        elif kind == "lower":
-            if i == j:
-                raise ValidationError(f"{kind} operators need i != j")
-            for k in range(1, self.N + 1):
-                terms.append(
-                    (ONE, (("D", self.index(self.kbar(k), i)), ("D", self.index(k, j))))
-                )
-        else:
+        if kind not in ("gl", "raise", "lower"):
             raise ValidationError(f"unknown column-side label {label}")
+        if kind != "gl" and i == j:
+            raise ValidationError(f"{kind} operators need i != j")
+        n, i, j = self.n, i - 1, j - 1
+        terms = []
+        for k in range(1, self.N + 1):
+            row, bar = (k - 1) * n, (self.kbar(k) - 1) * n
+            if kind == "gl":
+                # half the commutator of wedge and contraction, summed over rows
+                terms.append((HALF, (("M", row + i), ("D", row + j))))
+                terms.append((-HALF, (("D", row + j), ("M", row + i))))
+            elif kind == "raise":
+                terms.append((ONE, (("M", row + i), ("M", bar + j))))
+            else:
+                terms.append((ONE, (("D", bar + i), ("D", row + j))))
         return OperatorSpec(tuple(terms))
 
     def act_gl_pair(self, i, j, v):
@@ -215,16 +217,16 @@ class ExteriorAlgebra:
 
     def ov_operator(self, mat) -> OperatorSpec:
         """Derivation action of a row-side matrix {(p, q): c}, v_q -> c * v_p."""
+        n = self.n
         terms = []
         for (p, q), c in mat.items():
             if not (1 <= p <= self.N and 1 <= q <= self.N):
                 raise ValidationError(f"row indices ({p}, {q}) out of range")
             if c == 0:
                 continue
-            for s in range(1, self.n + 1):
-                terms.append(
-                    (Fraction(c), (("M", self.index(p, s)), ("D", self.index(q, s))))
-                )
+            c = Fraction(c)
+            for s in range(n):
+                terms.append((c, (("M", (p - 1) * n + s), ("D", (q - 1) * n + s))))
         return OperatorSpec(tuple(terms))
 
     def act_oV(self, mat, v):
@@ -239,11 +241,9 @@ class ExteriorAlgebra:
         d = self.d
         mats = []
         for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                if i < j:
-                    mats.append((f"E({i},{j})-E({j + d},{i + d})", {(i, j): 1, (j + d, i + d): -1}))
-                if i != j and i < j:
-                    mats.append((f"E({i},{j + d})-E({j},{i + d})", {(i, j + d): 1, (j, i + d): -1}))
+            for j in range(i + 1, d + 1):
+                mats.append((f"E({i},{j})-E({j + d},{i + d})", {(i, j): 1, (j + d, i + d): -1}))
+                mats.append((f"E({i},{j + d})-E({j},{i + d})", {(i, j + d): 1, (j, i + d): -1}))
         if self.N % 2 == 1:
             last = self.N
             for i in range(1, d + 1):
@@ -308,7 +308,7 @@ class ExteriorAlgebra:
     def neg_id(self, v):
         """Action of -Id: each monomial scales by (-1)^degree."""
         return ExteriorVector(
-            {m: -c if bin(m).count("1") % 2 else c for m, c in v.terms.items()}
+            {m: -c if m.bit_count() & 1 else c for m, c in v.terms.items()}
         )
 
     # -- reports ---------------------------------------------------------------

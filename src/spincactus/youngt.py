@@ -68,7 +68,7 @@ class ShortYoungDiagram:
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple(data["rows"]), data["N"], data["n"])
+        return cls(tuple(data["rows"]), as_int(data["N"]), as_int(data["n"]))
 
 
 def _rows_from_columns(cols):

@@ -7,6 +7,7 @@ from spincactus.celldiag import diagram_of_weight, enumerate_delta
 from spincactus.clifford import (
     ExteriorAlgebra,
     ExteriorVector,
+    OperatorSpec,
     contract,
     kappa,
     kappa_sigma,
@@ -62,6 +63,62 @@ def test_coefficients_stay_dyadic():
         image = alg.act_oE(label, v)
         for c in image.terms.values():
             assert c.denominator & (c.denominator - 1) == 0  # power of two
+
+
+def _composed_apply(spec, x):
+    """The definition of OperatorSpec.apply: compose wedge_insert and contract
+    letter by letter, right to left, and sum the scaled images."""
+    out = ExteriorVector()
+    for coeff, word in spec.terms:
+        cur = x
+        for kind, idx in reversed(word):
+            cur = wedge_insert(idx, cur) if kind == "M" else contract(idx, cur)
+        out = out + cur.scaled(coeff)
+    return out
+
+
+def _operator_pool(alg):
+    """Every column-side label and row-side matrix the verifier applies, plus
+    the whole gl family, the lowering family and the row Cartan elements."""
+    n, d = alg.n, alg.d
+    labels = alg.npos_oE_labels()
+    labels += [("gl", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    labels += [("lower", i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    mats = [mat for _, mat in alg.npos_oV_matrices()]
+    mats += [{(i, i): 1, (i + d, i + d): -1} for i in range(1, d + 1)]
+    return [alg.oe_operator(label) for label in labels] + [alg.ov_operator(m) for m in mats]
+
+
+def _assert_same_image(spec, v):
+    got = spec.apply(v)
+    assert got == _composed_apply(spec, v)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("n, big_n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_apply_matches_composition_on_every_monomial(n, big_n):
+    alg = ExteriorAlgebra(n, big_n)
+    for spec in _operator_pool(alg):
+        for mask in range(1 << (n * big_n)):
+            _assert_same_image(spec, ExteriorVector.monomial(mask))
+
+
+def test_apply_matches_composition_on_random_vectors():
+    rng = random.Random(20240804)
+    pools = {dims: _operator_pool(ExteriorAlgebra(*dims)) for dims in [(2, 3), (3, 3), (2, 4)]}
+    for trial in range(200):
+        (n, big_n), pool = rng.choice(list(pools.items()))
+        nbits = n * big_n
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            c = rng.randint(-4, 4)
+            # half the vectors carry plain ints, half exact rationals
+            terms[rng.getrandbits(nbits)] = c if trial % 2 else Fraction(c, rng.choice((1, 2, 3)))
+        spec = rng.choice(pool) + rng.choice(pool).scaled(Fraction(rng.randint(-3, 3), 2))
+        _assert_same_image(spec, ExteriorVector(terms))
+    # an empty spec and the zero vector
+    _assert_same_image(OperatorSpec(()), ExteriorVector({1: 1}))
+    _assert_same_image(pools[(2, 3)][0], ExteriorVector())
 
 
 def _per_factor_gl_reference(alg, i, j, v):
@@ -177,6 +234,19 @@ def test_representation_property_random():
                 combo = spec if combo is None else combo + spec
             want = ExteriorVector() if combo is None else combo.apply(v)
             assert got == want
+
+
+def test_npos_oV_matrix_names_and_order():
+    assert ExteriorAlgebra(2, 4).npos_oV_matrices() == [
+        ("E(1,2)-E(4,3)", {(1, 2): 1, (4, 3): -1}),
+        ("E(1,4)-E(2,3)", {(1, 4): 1, (2, 3): -1}),
+    ]
+    assert ExteriorAlgebra(2, 5).npos_oV_matrices() == [
+        ("E(1,2)-E(4,3)", {(1, 2): 1, (4, 3): -1}),
+        ("E(1,4)-E(2,3)", {(1, 4): 1, (2, 3): -1}),
+        ("E(1,5)-E(5,3)", {(1, 5): 1, (5, 3): -1}),
+        ("E(2,5)-E(5,4)", {(2, 5): 1, (5, 4): -1}),
+    ]
 
 
 def test_row_and_column_actions_commute():

@@ -220,6 +220,23 @@ def test_branch_matches_weight_side():
                 assert via_partitions == via_weights
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"rows": [1], "N": 2.5, "n": 4.0},  # fractional height
+        {"rows": [1], "N": True, "n": 4},  # a boolean is not a height
+    ],
+)
+def test_syd_from_json_rejects_non_integer_dims(record):
+    with pytest.raises(ValidationError):
+        ShortYoungDiagram.from_json(record)
+
+
+def test_syd_json_round_trip():
+    v = syd((2, 1), 4, 3)
+    assert ShortYoungDiagram.from_json(v.to_json()) == v
+
+
 def test_sssyt_chain_validation():
     with pytest.raises(ValidationError, match="horizontal"):
         SSYTable((syd((), 1, 2), syd((1, 1), 2, 2)))
