@@ -22,8 +22,8 @@ from __future__ import annotations
 import re
 
 from .celldiag import CellTable
-from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal
-from .errors import BudgetExceededError, ValidationError
+from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal, closure
+from .errors import ValidationError
 
 
 class XiCache:
@@ -128,18 +128,7 @@ def act_on_table(cache: XiCache, gens, t: CellTable) -> CellTable:
 
 def orbit(cache: XiCache, t: CellTable, gens, budget_bits=DEFAULT_BUDGET_BITS):
     """Closure of a table under the given generators, canonical (descending) order."""
-    limit = 1 << budget_bits
-    seen = {t}
-    queue = [t]
-    while queue:
-        cur = queue.pop()
-        for gen in gens:
-            nxt = act_on_table(cache, [gen], cur)
-            if nxt not in seen:
-                if len(seen) >= limit:
-                    raise BudgetExceededError(budget_bits + 1, budget_bits)
-                seen.add(nxt)
-                queue.append(nxt)
+    seen = closure(t, lambda cur: (act_on_table(cache, [gen], cur) for gen in gens), budget_bits)
     return sorted(seen, key=CellTable.flat2, reverse=True)
 
 

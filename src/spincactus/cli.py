@@ -38,13 +38,8 @@ def _budget_bits(args):
         try:
             bits = int(raw) if raw else crystal.DEFAULT_BUDGET_BITS
         except ValueError as exc:
-            raise ValidationError(
-                f"CACTUS_BUDGET_BITS must be an integer, got {raw!r}"
-            ) from exc
-    if not 0 <= bits <= crystal.MAX_BUDGET_BITS:
-        raise ValidationError(
-            f"budget_bits must be in 0..{crystal.MAX_BUDGET_BITS}, got {bits}"
-        )
+            raise ValidationError(f"CACTUS_BUDGET_BITS must be an integer, got {raw!r}") from exc
+    crystal.node_limit(bits)
     return bits
 
 
@@ -208,7 +203,10 @@ def cmd_verify(args):
         return tuple(range(2, top + 1))
 
     def power(default_max):
-        return args.N if args.N is not None else default_max
+        top = args.N if args.N is not None else default_max
+        if top < 1:
+            raise ValidationError("--N must be at least 1")
+        return top
 
     if name == "crystal-axioms":
         report = suites.suite_crystal_axioms(ranks(3), power(4))
@@ -291,7 +289,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_nN=False):
+    def common(p):
         p.add_argument("--n", type=int, default=None, help="height / rank n")
         p.add_argument("--N", type=int, dest="N", default=None, help="tensor power N")
         p.add_argument("--budget-bits", type=int, default=None,

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .celldiag import diagram_of_weight
 from .errors import ValidationError
 from .weights import OrthWeight, Weight
+from .youngt import f_map, shorter, syd_to_orthweight
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -379,13 +380,9 @@ def top_vector_report(alg: ExteriorAlgebra, w: Weight) -> dict:
 
 
 def kappa(w: Weight, big_n: int) -> OrthWeight:
-    """The row-side weight of the explicit top vector: conjugate of the column
-    list (min(l_n, r_n), l_{n-1}, ..., l_1), padded to floor(N/2) entries."""
-    diag = diagram_of_weight(w, big_n)
-    cols = [min(diag.l[-1], diag.r[-1])] + list(reversed(diag.l[:-1]))
-    d = big_n // 2
-    rows = [sum(1 for c in cols if c >= j) for j in range(1, d + 1)]
-    return OrthWeight(tuple(2 * r for r in rows), big_n)
+    """The row-side weight of the explicit top vector, the top row j_map writes: the
+    shorter of f(lambda) and its associate, columns (min(l_n, r_n), l_{n-1}, ..., l_1)."""
+    return syd_to_orthweight(shorter(f_map(diagram_of_weight(w, big_n))), big_n)
 
 
 def kappa_sigma(w: Weight, big_n: int) -> OrthWeight:

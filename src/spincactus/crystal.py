@@ -21,6 +21,9 @@ The bijection between highest-weight words and regular cell tables reads the
 factor weights right to left: under this tensor rule the last factor of a
 highest-weight word is the one forced into a dominant spinor weight, so the
 branching sequence of the component is the reversed factor sequence.
+
+Every scan is bounded by 2^budget_bits nodes: `node_limit` is the one check
+of budget_bits, and `closure` the one bounded depth-first walk.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from itertools import product
 
 from .celldiag import CellTable, table_from_steps
 from .errors import BudgetExceededError, ValidationError
-from .weights import Weight
+from .weights import Weight, as_int
 
 DEFAULT_BUDGET_BITS = 20
 MAX_BUDGET_BITS = 24
@@ -52,11 +55,34 @@ def _spin_move(n, i, b, lowering):
     return None
 
 
+def node_limit(budget_bits):
+    """The node limit 2^budget_bits of a scan; budget_bits must be an int in 0..MAX_BUDGET_BITS."""
+    if not 0 <= as_int(budget_bits) <= MAX_BUDGET_BITS:
+        raise ValidationError(f"budget_bits must be in 0..{MAX_BUDGET_BITS}, got {budget_bits}")
+    return 1 << budget_bits
+
+
 def _check_budget(needed_bits, budget_bits):
-    if budget_bits > MAX_BUDGET_BITS:
-        raise ValidationError(f"budget_bits must be at most {MAX_BUDGET_BITS}")
+    """Refuse up front a scan of about 2^needed_bits nodes that exceeds the limit."""
+    node_limit(budget_bits)
     if needed_bits > budget_bits:
         raise BudgetExceededError(needed_bits, budget_bits)
+
+
+def closure(start, successors, budget_bits):
+    """The nodes reachable from start, depth first; successors(node) yields its neighbours,
+    None for a missing one. Raises BudgetExceededError past node_limit(budget_bits) nodes."""
+    limit = node_limit(budget_bits)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in successors(stack.pop()):
+            if nxt is not None and nxt not in seen:
+                if len(seen) >= limit:
+                    raise BudgetExceededError(budget_bits + 1, budget_bits)
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -228,22 +254,9 @@ class SpinCrystal:
 
     def component_members(self, w, budget_bits=DEFAULT_BUDGET_BITS):
         """All words in the component of w, found by lowering from its top."""
-        limit = 1 << budget_bits
-        if budget_bits > MAX_BUDGET_BITS:
-            raise ValidationError(f"budget_bits must be at most {MAX_BUDGET_BITS}")
         hw = self.to_highest_weight(w)
-        seen = {hw}
-        queue = [hw]
-        while queue:
-            cur = queue.pop()
-            for i in range(1, self.n + 1):
-                down = self.tensor_f(i, cur)
-                if down is not None and down not in seen:
-                    if len(seen) >= limit:
-                        raise BudgetExceededError(budget_bits + 1, budget_bits)
-                    seen.add(down)
-                    queue.append(down)
-        return hw, seen
+        indices = range(1, self.n + 1)
+        return hw, closure(hw, lambda cur: [self.tensor_f(i, cur) for i in indices], budget_bits)
 
     # -- whole-crystal scans --------------------------------------------------
 

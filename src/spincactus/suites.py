@@ -26,7 +26,7 @@ from .clifford import (
     kappa_sigma,
     wedge_insert,
 )
-from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal
+from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal, _check_budget, node_limit
 from .errors import BudgetExceededError, ValidationError
 from .weights import Weight, is_dominant_d, spinor_weights, w0_image
 from .youngt import (
@@ -127,7 +127,7 @@ class XiTableReference(XiCache):
 
     def _build(self, hw):
         crystal = self.crystal
-        limit = 1 << self.budget_bits
+        limit = node_limit(self.budget_bits)
         lw = crystal.to_lowest_weight(hw)
         table = {hw: lw}
         queue = [hw]
@@ -260,6 +260,8 @@ def suite_census(n_values=(2, 3), big_n_max=5, budget_bits=DEFAULT_BUDGET_BITS):
 
 
 def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS):
+    # the largest whole-crystal scan: N factors (at least two) per rank, three at n=2
+    _check_budget(max([6] + [n * max(big_n_max, 2) for n in n_values]), budget_bits)
     checks = []
     for n in n_values:
         crystal = SpinCrystal(n)

@@ -1,0 +1,94 @@
+"""The node budget: one check of budget_bits and one bounded closure for every scan."""
+
+import pytest
+
+from spincactus.cactus import XiCache, orbit, parse_cactus_word
+from spincactus.celldiag import diagram_of_weight, enumerate_delta, enumerate_tables
+from spincactus.crystal import SpinCrystal, closure, crystal_dot, node_limit
+from spincactus.errors import BudgetExceededError, ValidationError
+from spincactus.suites import XiTableReference
+
+CRYSTAL = SpinCrystal(2)
+TOP = CRYSTAL.to_highest_weight((0, 0))
+TABLE = enumerate_tables(diagram_of_weight(enumerate_delta(3, 4)[1], 4))[0]
+GENS = parse_cactus_word("s(1,2) s(2,3) s(3,4)")
+
+# every budgeted entry point, as a call taking budget_bits
+ENTRY_POINTS = {
+    "component_members": lambda bits: CRYSTAL.component_members((0, 0), bits),
+    "components": lambda bits: CRYSTAL.components(2, bits),
+    "highest_weight_words": lambda bits: CRYSTAL.highest_weight_words(2, bits),
+    "decompose_component_tensor": lambda bits: CRYSTAL.decompose_component_tensor(TOP, bits),
+    "crystal_dot": lambda bits: crystal_dot(CRYSTAL, 2, bits),
+    "orbit": lambda bits: orbit(XiCache(SpinCrystal(3)), TABLE, GENS, bits),
+    "XiTableReference": lambda bits: XiTableReference(CRYSTAL, bits).xi_word((0, 0)),
+}
+
+
+@pytest.mark.parametrize("bits", [-1, 25, 2.5, True])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_bad_budget_bits_are_validation_errors(entry, bits):
+    with pytest.raises(ValidationError):
+        ENTRY_POINTS[entry](bits)
+
+
+def test_node_limit():
+    assert [node_limit(b) for b in (0, 1, 10, 24)] == [1, 2, 1 << 10, 1 << 24]
+    for bits in (-1, 25):
+        with pytest.raises(ValidationError, match=f"budget_bits must be in 0..24, got {bits}"):
+            node_limit(bits)
+    for bits in (2.5, True, "3"):
+        with pytest.raises(ValidationError, match="expected an integer"):
+            node_limit(bits)
+
+
+def smallest_bits(m):
+    """The smallest budget_bits whose limit 2^bits holds m nodes."""
+    return (m - 1).bit_length()
+
+
+def assert_tight(scan, m):
+    """scan(bits) passes at the smallest fitting budget and is refused one bit lower."""
+    bits = smallest_bits(m)
+    assert len(scan(bits)) == m
+    if bits > 0:
+        with pytest.raises(BudgetExceededError) as info:
+            scan(bits - 1)
+        assert (info.value.needed_bits, info.value.budget_bits) == (bits, bits - 1)
+
+
+def test_closure_limit_is_tight_on_components():
+    sizes = set()
+    for n, big_n in ((2, 3), (3, 2)):
+        crystal = SpinCrystal(n)
+        for comp in crystal.components(big_n):
+            sizes.add(comp.size)
+            assert_tight(lambda bits: crystal.component_members(comp.hw_word, bits)[1], comp.size)
+    assert sizes == {1, 2, 4, 6, 10, 15}
+
+
+def test_closure_limit_is_tight_on_orbits():
+    cache = XiCache(SpinCrystal(3))
+    gens = parse_cactus_word("s(1,2) s(1,3)")
+    sizes = set()
+    for lam in enumerate_delta(3, 3):
+        for t in enumerate_tables(diagram_of_weight(lam, 3)):
+            size = len(orbit(cache, t, gens))
+            sizes.add(size)
+            assert_tight(lambda bits: orbit(cache, t, gens, bits), size)
+    assert sizes == {1, 2, 3, 6}
+
+
+def test_closure_walk_order_and_missing_edges():
+    # depth first from the last pushed node; None marks a missing edge
+    graph = {0: [1, None, 2], 1: [3], 2: [3, 4], 3: [], 4: [0]}
+    visited = []
+
+    def successors(node):
+        visited.append(node)
+        return graph[node]
+
+    assert closure(0, successors, 3) == {0, 1, 2, 3, 4}
+    assert visited == [0, 2, 4, 3, 1]
+    with pytest.raises(BudgetExceededError):
+        closure(0, successors, 2)

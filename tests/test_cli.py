@@ -120,6 +120,24 @@ def test_verify_budget_exit(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "dims, bits, expected",
+    [
+        # the largest scan at the defaults is (Lambda C^3)^{(x)4}, 2^12 words
+        ((), 0, EXIT_BUDGET),
+        ((), 11, EXIT_BUDGET),
+        # at n=2, N=2 the three-factor coboundary check, 2^6 words, is the largest
+        (("--n", "2", "--N", "2"), 5, EXIT_BUDGET),
+        (("--n", "2", "--N", "2"), 6, EXIT_OK),
+    ],
+)
+def test_verify_commutor_budget_exit(capsys, dims, bits, expected):
+    code, out, err = run(capsys, "verify", "commutor", *dims, "--budget-bits", str(bits))
+    assert code == expected
+    if expected == EXIT_BUDGET:
+        assert out == "" and "budget" in err
+
+
 def test_export_crystal_graph_dot(capsys):
     code, out, _ = run(
         capsys, "export", "crystal-graph", "--n", "2", "--N", "1", "--format", "dot"
@@ -253,6 +271,15 @@ MALFORMED = [
      "--payload", '{"chain": [[1.9], [2], [2, 1], [4, 1]]}'],
     ["convert", "sssyt", "table",
      "--payload", '{"chain": [[1], [2], [2, 1], [4, 1]], "n": 4.0}'],
+    # a tensor power below 1 would verify nothing
+    ["verify", "census", "--N", "0"],
+    ["verify", "census", "--N", "-3"],
+    ["verify", "thm2", "--N", "-1"],
+    ["verify", "bijections", "--N", "0"],
+    ["verify", "crystal-axioms", "--N", "0"],
+    ["verify", "commutor", "--N", "0"],
+    ["verify", "cactus-relations", "--N", "0"],
+    ["verify", "thm52", "--N", "0"],
 ]
 
 

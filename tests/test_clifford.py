@@ -15,7 +15,7 @@ from spincactus.clifford import (
 )
 from spincactus.errors import ValidationError
 from spincactus.weights import OrthWeight, Weight
-from spincactus.youngt import f_map
+from spincactus.youngt import enumerate_gtp, f_map
 
 
 def random_vector(rng, nbits, terms=5):
@@ -349,6 +349,18 @@ def test_kappa_values():
     assert kappa(Weight((2, 0)), 2).coords2 == (2,)
     assert kappa(Weight((2, 0, 0)), 2).coords2 == (4,)
     assert kappa_sigma(Weight((2, 0, 0)), 2).coords2 == (-4,)
+
+
+def test_kappa_is_a_top_row_of_the_patterns():
+    count = 0
+    for n in range(2, 5):
+        for big_n in range(3, 8):
+            for lam in enumerate_delta(n, big_n):
+                tops = {p.betas[0] for p in enumerate_gtp(f_map(diagram_of_weight(lam, big_n)))}
+                assert kappa(lam, big_n) in tops
+                assert tops <= {kappa(lam, big_n), kappa_sigma(lam, big_n)}
+                count += 1
+    assert count == 355
 
 
 def test_group_elements():
