@@ -23,6 +23,13 @@ EXIT_BUDGET = 3
 
 SCHEMA = "cactus-crystal/1"
 
+# the output formats each command (each export target) can write; the first is the default
+FORMATS = {
+    "enumerate": ("json", "table"), "convert": ("json", "table"), "act": ("json", "table"),
+    "crystal-graph": ("json", "dot"), "component": ("dot",),
+    "verify": ("json",), "orbit": ("json",),
+}
+
 
 def _parse_csv_ints(text):
     try:
@@ -41,6 +48,16 @@ def _budget_bits(args):
             raise ValidationError(f"CACTUS_BUDGET_BITS must be an integer, got {raw!r}") from exc
     crystal.node_limit(bits)
     return bits
+
+
+def _resolve_format(args):
+    key = args.what if args.command == "export" else args.command
+    formats = FORMATS[key]
+    if args.format is None:
+        args.format = formats[0]
+    if args.format not in formats:
+        raise ValidationError(f"--format {args.format} is not available for {key}; "
+                              f"choose from {', '.join(formats)}")
 
 
 def _emit(args, payload, text_lines):
@@ -294,7 +311,7 @@ def build_parser():
         p.add_argument("--N", type=int, dest="N", default=None, help="tensor power N")
         p.add_argument("--budget-bits", type=int, default=None,
                        help="scan budget, max nodes = 2^bits (0..24); env CACTUS_BUDGET_BITS")
-        p.add_argument("--format", choices=("json", "table", "dot"), default="json")
+        p.add_argument("--format", default=None, help="json, table or dot, as the command allows")
         p.add_argument("--seed", type=int, default=20240801, help="seed for randomized suites")
 
     p_enum = sub.add_parser("enumerate", help="enumerate delta/diagrams/tables/sssyt/gtp")
@@ -345,6 +362,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _resolve_format(args)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

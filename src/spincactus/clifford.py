@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .celldiag import diagram_of_weight
 from .errors import ValidationError
@@ -24,6 +25,7 @@ from .youngt import f_map, shorter, syd_to_orthweight
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+MINUS_HALF = -HALF
 
 
 class ExteriorVector:
@@ -193,28 +195,19 @@ class ExteriorAlgebra:
             if kind == "gl":
                 # half the commutator of wedge and contraction, summed over rows
                 terms.append((HALF, (("M", row + i), ("D", row + j))))
-                terms.append((-HALF, (("D", row + j), ("M", row + i))))
+                terms.append((MINUS_HALF, (("D", row + j), ("M", row + i))))
             elif kind == "raise":
                 terms.append((ONE, (("M", row + i), ("M", bar + j))))
             else:
                 terms.append((ONE, (("D", bar + i), ("D", row + j))))
         return OperatorSpec(tuple(terms))
 
-    def act_gl_pair(self, i, j, v):
-        return self.oe_operator(("gl", i, j)).apply(v)
-
     def act_oE(self, label, v):
         return self.oe_operator(label).apply(v)
 
-    def cartan_h(self, i, v):
-        return self.act_gl_pair(i, i, v)
-
     def npos_oE_labels(self):
-        return [("gl", i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)] + [
-            ("raise", i, j)
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-        ]
+        cols = range(1, self.n + 1)
+        return [(kind, i, j) for kind in ("gl", "raise") for i in cols for j in cols if i < j]
 
     def ov_operator(self, mat) -> OperatorSpec:
         """Derivation action of a row-side matrix {(p, q): c}, v_q -> c * v_p."""
@@ -233,11 +226,6 @@ class ExteriorAlgebra:
     def act_oV(self, mat, v):
         return self.ov_operator(mat).apply(v)
 
-    def cartan_t(self, i, v):
-        if not 1 <= i <= self.d:
-            raise ValidationError(f"diagonal index {i} out of range 1..{self.d}")
-        return self.act_oV({(i, i): 1, (i + self.d, i + self.d): -1}, v)
-
     def npos_oV_matrices(self):
         d = self.d
         mats = []
@@ -250,6 +238,28 @@ class ExteriorAlgebra:
             for i in range(1, d + 1):
                 mats.append((f"E({i},{last})-E({last},{i + d})", {(i, last): 1, (last, i + d): -1}))
         return mats
+
+    # -- the operators the reports apply, each built once, on first use -----------
+    # (dicts from report name to OperatorSpec)
+
+    @cached_property
+    def column_raising(self):
+        return {str(label): self.oe_operator(label) for label in self.npos_oE_labels()}
+
+    @cached_property
+    def row_raising(self):
+        return {name: self.ov_operator(mat) for name, mat in self.npos_oV_matrices()}
+
+    @cached_property
+    def row_cartan(self):
+        d = self.d
+        return {
+            f"t_{i}": self.ov_operator({(i, i): 1, (i + d, i + d): -1}) for i in range(1, d + 1)
+        }
+
+    @cached_property
+    def column_cartan(self):
+        return {f"h_{i}": self.oe_operator(("gl", i, i)) for i in range(1, self.n + 1)}
 
     # -- distinguished vectors and group elements ------------------------------
 
@@ -273,30 +283,18 @@ class ExteriorAlgebra:
         return vec
 
     def substitute_rows(self, row_map, v):
-        """Relabel row indices of every factor, re-sorting with signs."""
+        """Relabel row indices of every factor, wedging them on right to left with signs."""
         out = {}
         for m, c in v.terms.items():
-            indices = []
-            bit = 0
-            mm = m
-            while mm:
-                if mm & 1:
-                    k, i = bit // self.n + 1, bit % self.n + 1
-                    indices.append(self.index(row_map.get(k, k), i))
-                mm >>= 1
-                bit += 1
-            inv = sum(
-                1
-                for a in range(len(indices))
-                for b in range(a + 1, len(indices))
-                if indices[a] > indices[b]
-            )
-            nm = 0
-            for idx in indices:
-                if nm & (1 << idx):
-                    raise ValidationError("row relabeling is not injective")
-                nm |= 1 << idx
-            sign = -1 if inv % 2 else 1
+            nm, sign = 0, 1
+            for bit in reversed(range(m.bit_length())):
+                if m >> bit & 1:
+                    k, i = divmod(bit, self.n)
+                    idx = self.index(row_map.get(k + 1, k + 1), i + 1)
+                    if nm >> idx & 1:
+                        raise ValidationError("row relabeling is not injective")
+                    sign *= _sign_below(nm, idx)
+                    nm |= 1 << idx
             out[nm] = out.get(nm, ZERO) + sign * c
         return ExteriorVector(out)
 
@@ -322,37 +320,23 @@ class ExteriorAlgebra:
         return c if image == v.scaled(c) else None
 
     def weight_of_vector(self, v: ExteriorVector) -> BiWeightReport:
-        failures = []
-        taus = []
-        for i in range(1, self.d + 1):
-            c = self._eigenvalue(self.cartan_t(i, v), v)
-            if c is None or c.denominator != 1:
-                failures.append(f"t_{i}")
-            else:
-                taus.append(int(c))
-        etas2 = []
-        for i in range(1, self.n + 1):
-            c = self._eigenvalue(self.cartan_h(i, v), v)
-            if c is None or (2 * c).denominator != 1:
-                failures.append(f"h_{i}")
-            else:
-                etas2.append(int(2 * c))
+        """Eigenvalues under t_1..t_d (integers) and h_1..h_n (half-integers)."""
+        failures, doubled = [], []
+        for denominator, table in ((1, self.row_cartan), (2, self.column_cartan)):
+            for name, op in table.items():
+                c = self._eigenvalue(op.apply(v), v)
+                if c is None or (denominator * c).denominator != 1:
+                    failures.append(name)
+                else:
+                    doubled.append(int(2 * c))
         if failures:
             return BiWeightReport(False, None, None, failures)
-        return BiWeightReport(
-            True,
-            OrthWeight(tuple(2 * t for t in taus), self.N),
-            Weight(tuple(etas2)),
-        )
+        left, right = tuple(doubled[: self.d]), tuple(doubled[self.d :])
+        return BiWeightReport(True, OrthWeight(left, self.N), Weight(right))
 
     def check_singular(self, v: ExteriorVector) -> SingularReport:
-        nonzero = []
-        for label in self.npos_oE_labels():
-            if not self.act_oE(label, v).is_zero():
-                nonzero.append(str(label))
-        for name, mat in self.npos_oV_matrices():
-            if not self.act_oV(mat, v).is_zero():
-                nonzero.append(name)
+        raising = (*self.column_raising.items(), *self.row_raising.items())
+        nonzero = [name for name, op in raising if not op.apply(v).is_zero()]
         return SingularReport(not nonzero, nonzero)
 
 

@@ -343,6 +343,7 @@ def word_label(crystal, w):
 
 def crystal_dot(crystal, big_n, budget_bits=DEFAULT_BUDGET_BITS, words=None):
     """DOT digraph of the full tensor power, or of the given word set."""
+    node_limit(budget_bits)
     if words is None:
         _check_budget(crystal.n * big_n, budget_bits)
         words = list(crystal.all_words(big_n))

@@ -301,12 +301,13 @@ def _generator_permutations(n, big_n, budget_bits):
     crystal = SpinCrystal(n)
     cache = XiCache(crystal, budget_bits)
     gens = [(p, q) for p in range(1, big_n + 1) for q in range(p + 1, big_n + 1)]
-    perms = {}
-    for lam in enumerate_delta(n, big_n):
-        tables = enumerate_tables(diagram_of_weight(lam, big_n))
-        perms[lam] = {
-            gen: {t: act_on_table(cache, [gen], t) for t in tables} for gen in gens
-        }
+    shapes = [enumerate_tables(diagram_of_weight(lam, big_n)) for lam in enumerate_delta(n, big_n)]
+    # one action per (generator, table): refuse up front a total past the node limit
+    _check_budget(max(len(gens) * sum(map(len, shapes)) - 1, 0).bit_length(), budget_bits)
+    perms = [
+        {gen: {t: act_on_table(cache, [gen], t) for t in tables} for gen in gens}
+        for tables in shapes
+    ]
     return gens, perms
 
 
@@ -315,8 +316,8 @@ def suite_cactus_relations(n=2, big_n=4, budget_bits=DEFAULT_BUDGET_BITS):
     gens, perms = _generator_permutations(n, big_n, budget_bits)
     involution_ok = True
     bijective_ok = True
-    for lam, by_gen in perms.items():
-        for gen, mapping in by_gen.items():
+    for by_gen in perms:
+        for mapping in by_gen.values():
             if len(set(mapping.values())) != len(mapping):
                 bijective_ok = False
             if any(mapping[mapping[t]] != t for t in mapping):
@@ -329,7 +330,7 @@ def suite_cactus_relations(n=2, big_n=4, budget_bits=DEFAULT_BUDGET_BITS):
 
     disjoint_ok = True
     nested_ok = True
-    for lam, by_gen in perms.items():
+    for by_gen in perms:
         for pq in gens:
             for kl in gens:
                 p, q = pq
@@ -404,19 +405,14 @@ def suite_thm52(n_values=(2, 3), big_n_max=4, seed=20240801):
     centralizer_bad = 0
     for n, big_n in ((2, 2), (2, 3), (3, 2)):
         alg = ExteriorAlgebra(n, big_n)
-        row_mats = [mat for _, mat in alg.npos_oV_matrices()]
-        row_mats += [
-            {(i, i): 1, (i + alg.d, i + alg.d): -1} for i in range(1, alg.d + 1)
-        ]
-        col_labels = alg.npos_oE_labels() + [("gl", i, i) for i in range(1, n + 1)]
+        row_side = [*alg.row_raising.values(), *alg.row_cartan.values()]
+        column_side = [*alg.column_raising.values(), *alg.column_cartan.values()]
         for _ in range(20):
             terms = {rng.getrandbits(n * big_n): rng.randint(-3, 3) for _ in range(3)}
             v = ExteriorVector({m: c for m, c in terms.items()})
-            mat = rng.choice(row_mats)
-            label = rng.choice(col_labels)
-            if alg.act_oV(mat, alg.act_oE(label, v)) != alg.act_oE(
-                label, alg.act_oV(mat, v)
-            ):
+            row = rng.choice(row_side)
+            column = rng.choice(column_side)
+            if row.apply(column.apply(v)) != column.apply(row.apply(v)):
                 centralizer_bad += 1
     _check(checks, "row and column actions commute (random)", centralizer_bad == 0,
            f"seed={seed}")

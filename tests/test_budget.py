@@ -6,7 +6,7 @@ from spincactus.cactus import XiCache, orbit, parse_cactus_word
 from spincactus.celldiag import diagram_of_weight, enumerate_delta, enumerate_tables
 from spincactus.crystal import SpinCrystal, closure, crystal_dot, node_limit
 from spincactus.errors import BudgetExceededError, ValidationError
-from spincactus.suites import XiTableReference
+from spincactus.suites import XiTableReference, suite_cactus_relations
 
 CRYSTAL = SpinCrystal(2)
 TOP = CRYSTAL.to_highest_weight((0, 0))
@@ -20,6 +20,7 @@ ENTRY_POINTS = {
     "highest_weight_words": lambda bits: CRYSTAL.highest_weight_words(2, bits),
     "decompose_component_tensor": lambda bits: CRYSTAL.decompose_component_tensor(TOP, bits),
     "crystal_dot": lambda bits: crystal_dot(CRYSTAL, 2, bits),
+    "crystal_dot_words": lambda bits: crystal_dot(CRYSTAL, 2, bits, words=[(0, 0)]),
     "orbit": lambda bits: orbit(XiCache(SpinCrystal(3)), TABLE, GENS, bits),
     "XiTableReference": lambda bits: XiTableReference(CRYSTAL, bits).xi_word((0, 0)),
 }
@@ -92,3 +93,11 @@ def test_closure_walk_order_and_missing_edges():
     assert visited == [0, 2, 4, 3, 1]
     with pytest.raises(BudgetExceededError):
         closure(0, successors, 2)
+
+
+@pytest.mark.parametrize("n, big_n, needed", [(2, 4, 9), (3, 4, 10), (3, 5, 13)])
+def test_cactus_relations_charges_generators_times_tables(n, big_n, needed):
+    # 360, 960 and 8,000 generator actions; refused before the first one
+    with pytest.raises(BudgetExceededError) as info:
+        suite_cactus_relations(n, big_n, needed - 1)
+    assert (info.value.needed_bits, info.value.budget_bits) == (needed, needed - 1)

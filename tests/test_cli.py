@@ -138,6 +138,27 @@ def test_verify_commutor_budget_exit(capsys, dims, bits, expected):
         assert out == "" and "budget" in err
 
 
+@pytest.mark.parametrize(
+    "dims, bits, expected",
+    [
+        # one action per (generator, table): 6 x 60 = 360 at n=2, N=4, 6 x 160 = 960 at n=3
+        (("--n", "2", "--N", "4"), 8, EXIT_BUDGET),
+        (("--n", "2", "--N", "4"), 9, EXIT_OK),
+        (("--n", "3", "--N", "4"), 9, EXIT_BUDGET),
+        (("--n", "3", "--N", "4"), 10, EXIT_OK),
+        # N=1 has no generators and no work
+        (("--n", "2", "--N", "1"), 0, EXIT_OK),
+    ],
+)
+def test_verify_cactus_relations_budget_exit(capsys, dims, bits, expected):
+    code, out, err = run(
+        capsys, "verify", "cactus-relations", *dims, "--budget-bits", str(bits)
+    )
+    assert code == expected
+    if expected == EXIT_BUDGET:
+        assert out == "" and "budget" in err
+
+
 def test_export_crystal_graph_dot(capsys):
     code, out, _ = run(
         capsys, "export", "crystal-graph", "--n", "2", "--N", "1", "--format", "dot"
@@ -280,6 +301,17 @@ MALFORMED = [
     ["verify", "commutor", "--N", "0"],
     ["verify", "cactus-relations", "--N", "0"],
     ["verify", "thm52", "--N", "0"],
+    # a format the command cannot write
+    ["export", "component", "--format", "json", "--payload", '{"steps2": [[1, 1], [1, -1]]}'],
+    ["export", "component", "--format", "table", "--payload", '{"steps2": [[1, 1], [1, -1]]}'],
+    ["export", "orbit", "--format", "dot", "--payload", '{"steps2": [[1, 1], [1, -1]]}'],
+    ["export", "orbit", "--format", "table", "--payload", '{"steps2": [[1, 1], [1, -1]]}'],
+    ["export", "crystal-graph", "--n", "2", "--N", "2", "--format", "table"],
+    ["verify", "census", "--N", "2", "--format", "table"],
+    ["verify", "thm52", "--format", "dot"],
+    ["enumerate", "delta", "--n", "2", "--N", "2", "--format", "dot"],
+    ["convert", "table", "sssyt", "--format", "dot", "--payload", '{"steps2": [[1, 1]]}'],
+    ["act", "--word", "s(1,2)", "--format", "dot", "--payload", '{"steps2": [[1, 1], [1, -1]]}'],
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -78,15 +79,15 @@ def _composed_apply(spec, x):
 
 
 def _operator_pool(alg):
-    """Every column-side label and row-side matrix the verifier applies, plus
-    the whole gl family, the lowering family and the row Cartan elements."""
-    n, d = alg.n, alg.d
-    labels = alg.npos_oE_labels()
-    labels += [("gl", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    """Every operator the verifier applies (its four tables), plus the whole gl
+    family and the lowering family."""
+    n = alg.n
+    labels = [("gl", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     labels += [("lower", i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    mats = [mat for _, mat in alg.npos_oV_matrices()]
-    mats += [{(i, i): 1, (i + d, i + d): -1} for i in range(1, d + 1)]
-    return [alg.oe_operator(label) for label in labels] + [alg.ov_operator(m) for m in mats]
+    tables = (alg.column_raising, alg.row_raising, alg.row_cartan, alg.column_cartan)
+    return [op for table in tables for op in table.values()] + [
+        alg.oe_operator(label) for label in labels
+    ]
 
 
 def _assert_same_image(spec, v):
@@ -151,20 +152,20 @@ def test_gl_action_matches_per_factor_reference():
         for j in (1, 2):
             for mask in range(16):
                 v = ExteriorVector.monomial(mask)
-                assert alg.act_gl_pair(i, j, v) == _per_factor_gl_reference(alg, i, j, v)
+                assert alg.act_oE(("gl", i, j), v) == _per_factor_gl_reference(alg, i, j, v)
     for _ in range(20):
         v = random_vector(rng, 4)
-        assert alg.act_gl_pair(1, 2, v) == _per_factor_gl_reference(alg, 1, 2, v)
+        assert alg.act_oE(("gl", 1, 2), v) == _per_factor_gl_reference(alg, 1, 2, v)
 
 
 def test_cartan_h_on_monomials():
     alg = ExteriorAlgebra(3, 2)
     vac = ExteriorVector.unit()
     for i in (1, 2, 3):
-        assert alg.cartan_h(i, vac) == vac.scaled(Fraction(-2, 2))
+        assert alg.column_cartan[f"h_{i}"].apply(vac) == vac.scaled(Fraction(-2, 2))
     full = ExteriorVector.monomial((1 << 6) - 1)
     for i in (1, 2, 3):
-        assert alg.cartan_h(i, full) == full.scaled(1)
+        assert alg.column_cartan[f"h_{i}"].apply(full) == full.scaled(1)
 
 
 def _oe_matrix(label, n):
@@ -249,6 +250,87 @@ def test_npos_oV_matrix_names_and_order():
     ]
 
 
+def test_operator_tables_names_and_order():
+    for n, big_n in [(2, 4), (3, 5)]:
+        alg = ExteriorAlgebra(n, big_n)
+        assert list(alg.column_raising) == [str(label) for label in alg.npos_oE_labels()]
+        assert list(alg.row_raising) == [name for name, _ in alg.npos_oV_matrices()]
+        assert list(alg.row_cartan) == [f"t_{i}" for i in range(1, alg.d + 1)]
+        assert list(alg.column_cartan) == [f"h_{i}" for i in range(1, n + 1)]
+    assert ExteriorAlgebra(3, 2).npos_oE_labels() == [
+        ("gl", 1, 2), ("gl", 1, 3), ("gl", 2, 3),
+        ("raise", 1, 2), ("raise", 1, 3), ("raise", 2, 3),
+    ]
+
+
+def test_operator_specs_are_built_once_per_algebra(monkeypatch):
+    built = {"oe": 0, "ov": 0}
+
+    def counting(kind, build):
+        def wrapper(self, arg):
+            built[kind] += 1
+            return build(self, arg)
+
+        return wrapper
+
+    for kind in ("oe", "ov"):
+        name = f"{kind}_operator"
+        monkeypatch.setattr(ExteriorAlgebra, name, counting(kind, getattr(ExteriorAlgebra, name)))
+    alg = ExteriorAlgebra(3, 5)
+    # the top vector and the group elements need no operator
+    vec = alg.xi_lambda(Weight((3, 1, 1)))
+    alg.neg_id(vec)
+    assert built == {"oe": 0, "ov": 0}
+    for v in (vec, vec + ExteriorVector.unit()):
+        alg.check_singular(v)
+        alg.weight_of_vector(v)
+    assert built == {
+        "oe": len(alg.npos_oE_labels()) + alg.n,
+        "ov": len(alg.npos_oV_matrices()) + alg.d,
+    }
+
+
+def _substitute_rows_by_inversions(alg, row_map, v):
+    """Oracle: list the relabelled factors in the monomial's order and sign the
+    result by the parity of their inversions."""
+    out = ExteriorVector()
+    for m, c in v.terms.items():
+        indices = [
+            alg.index(row_map.get(bit // alg.n + 1, bit // alg.n + 1), bit % alg.n + 1)
+            for bit in range(m.bit_length())
+            if m >> bit & 1
+        ]
+        if len(set(indices)) != len(indices):
+            raise ValidationError("row relabeling is not injective")
+        inv = sum(1 for a, x in enumerate(indices) for y in indices[a + 1 :] if x > y)
+        out = out + ExteriorVector({sum(1 << i for i in indices): c * (-1) ** inv})
+    return out
+
+
+@pytest.mark.parametrize("n, big_n", [(2, 2), (2, 3), (3, 2)])
+def test_substitute_rows_matches_inversion_count_on_every_monomial(n, big_n):
+    alg = ExteriorAlgebra(n, big_n)
+    for perm in itertools.permutations(range(1, big_n + 1)):
+        row_map = dict(zip(range(1, big_n + 1), perm))
+        for mask in range(1 << (n * big_n)):
+            v = ExteriorVector.monomial(mask)
+            assert alg.substitute_rows(row_map, v) == _substitute_rows_by_inversions(alg, row_map, v)
+
+
+def test_substitute_rows_matches_inversion_count_on_random_vectors():
+    rng = random.Random(20240805)
+    for _ in range(300):
+        n, big_n = rng.randint(2, 4), rng.randint(2, 6)
+        alg = ExteriorAlgebra(n, big_n)
+        rows = list(range(1, big_n + 1))
+        row_map = dict(zip(rows, rng.sample(rows, big_n)))
+        v = random_vector(rng, n * big_n)
+        assert alg.substitute_rows(row_map, v) == _substitute_rows_by_inversions(alg, row_map, v)
+    alg = ExteriorAlgebra(2, 3)
+    with pytest.raises(ValidationError, match="not injective"):
+        alg.substitute_rows({1: 2}, ExteriorVector.monomial(0b000101))
+
+
 def test_row_and_column_actions_commute():
     rng = random.Random(20240803)
     for n, big_n in [(2, 2), (2, 3)]:
@@ -292,8 +374,8 @@ def test_cartan_t_counts_rows():
     mono = ExteriorVector.monomial(0)
     v = alg.xi_lambda(Weight((2, 0)))
     # factors: rows 1,2 in column 1 and row 1 in column 2
-    assert alg.cartan_t(1, v) == v.scaled(1)
-    assert alg.cartan_t(1, mono).is_zero()
+    assert alg.row_cartan["t_1"].apply(v) == v.scaled(1)
+    assert alg.row_cartan["t_1"].apply(mono).is_zero()
 
 
 def test_xi_lambda_examples():
