@@ -7,7 +7,9 @@ recorded indices in reverse as raisings e_theta(i) from the bottom. Here theta
 relabels the nodes (identity at even rank, swap of the two fork nodes at odd
 rank), so xi(f_i w) = e_theta(i) xi(w). A call holds only the path, whose
 length is the depth of w in its component (linear in N at fixed rank), and
-needs no budget.
+the bottom word of each top met, up to 2^budget_bits of them, so a second
+word of the same component skips the walk down. On a single factor xi is w0
+on its weight, a fixed bit flip.
 
 The commutor swaps two factor blocks via sigma(a (x) b) = xi(xi(b) (x) xi(a)).
 The generator s_{p,q} reverses the factor segment [p..q] in closed form
@@ -22,19 +24,26 @@ from __future__ import annotations
 import re
 
 from .celldiag import CellTable
-from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal, closure
+from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal, closure, node_limit
 from .errors import ValidationError
 
 
 class XiCache:
     """The involution and the cactus generators on the tensor words of one crystal.
 
-    budget_bits is kept for callers; the path walk needs no budget.
+    xi_word keeps the bottom word of each top it has walked from, for at most
+    node_limit(budget_bits) tops; past that it walks down again.
     """
 
     def __init__(self, crystal: SpinCrystal, budget_bits=DEFAULT_BUDGET_BITS):
         self.crystal = crystal
         self.budget_bits = budget_bits
+        self._limit = node_limit(budget_bits)
+        self._bottoms = {}
+        # w0 on a spinor weight, which is xi on one factor as the basic crystal
+        # is minuscule: every sign flips at even rank, all but the last at odd rank
+        n = crystal.n
+        self._flip = (1 << (n if n % 2 == 0 else n - 1)) - 1
 
     def _theta(self, i):
         n = self.crystal.n
@@ -49,7 +58,12 @@ class XiCache:
         """The involution on the full word (all factors as one segment)."""
         crystal = self.crystal
         path = []
-        image = crystal.to_lowest_weight(crystal.to_highest_weight(w, path))
+        top = crystal.to_highest_weight(w, path)
+        image = self._bottoms.get(top)
+        if image is None:
+            image = crystal.to_lowest_weight(top)
+            if len(self._bottoms) < self._limit:
+                self._bottoms[top] = image
         for i in reversed(path):
             image = crystal.tensor_e(self._theta(i), image)
             assert image is not None, "xi replay left the component; theta is wrong"
@@ -80,7 +94,7 @@ class XiCache:
         """Reverse the factor segment p..q; an involution on the tensor power."""
         if not 1 <= p <= q <= len(w):
             raise ValidationError(f"need 1 <= p <= q <= {len(w)}, got {(p, q)}")
-        segment = tuple(self.xi_word((b,))[0] for b in reversed(w[p - 1 : q]))
+        segment = tuple(b ^ self._flip for b in reversed(w[p - 1 : q]))
         return w[: p - 1] + self.xi_word(segment) + w[q:]
 
 

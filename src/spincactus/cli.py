@@ -31,6 +31,14 @@ FORMATS = {
 }
 
 
+# the options among --N and --budget-bits that each verify suite reads; any other is refused
+VERIFY_OPTIONS = {
+    "crystal-axioms": ("N", "budget_bits"), "census": ("N", "budget_bits"),
+    "commutor": ("N", "budget_bits"), "cactus-relations": ("N", "budget_bits"),
+    "thm2": ("N", "budget_bits"), "thm52": ("N",), "thm51-signs": (), "bijections": ("N",),
+}
+
+
 def _parse_csv_ints(text):
     try:
         return tuple(int(x) for x in text.split(","))
@@ -212,6 +220,10 @@ def cmd_act(args):
 def cmd_verify(args):
     name = args.suite
     budget = _budget_bits(args)
+    for option in ("N", "budget_bits"):
+        if getattr(args, option) is not None and option not in VERIFY_OPTIONS[name]:
+            flag = "--" + option.replace("_", "-")
+            raise ValidationError(f"{flag} is not read by the {name} suite")
 
     def ranks(default_max):
         top = args.n if args.n is not None else default_max
@@ -226,7 +238,7 @@ def cmd_verify(args):
         return top
 
     if name == "crystal-axioms":
-        report = suites.suite_crystal_axioms(ranks(3), power(4))
+        report = suites.suite_crystal_axioms(ranks(3), power(4), budget_bits=budget)
     elif name == "census":
         report = suites.suite_census(ranks(3), power(5), budget_bits=budget)
     elif name == "commutor":

@@ -10,12 +10,14 @@ phi_i(second).
 
 The kernel is table-driven: each crystal precomputes, for every index i, the
 images of all 2^n factors under e_i and f_i and their eps_i, phi_i (0 or 1;
-every i-string of the basic crystal has length at most one). On a word, e_i
-and f_i follow the equivalent signature rule in one pass over the factors, and
-eps_i, phi_i are folded from the pair rules eps(a (x) b) = eps(b) +
-max(0, eps(a) - phi(b)) and phi(a (x) b) = phi(a) + max(0, phi(b) - eps(a))
-instead of by repeated application. The literal two-factor recursion stays
-in `suites` as the oracle (`tensor_e_reference`, `tensor_f_reference`).
+every i-string of the basic crystal has length at most one). On a word, one
+pass over the factors (`_signature`) gives the free phi_i and eps_i factors of
+the equivalent signature rule: e_i and f_i move the first of them, and the
+scans read tops, bottoms and successors from it. eps_i, phi_i are folded from
+the pair rules eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)) and
+phi(a (x) b) = phi(a) + max(0, phi(b) - eps(a)) instead of by repeated
+application. The literal two-factor recursion stays in `suites` as the oracle
+(`tensor_e_reference`, `tensor_f_reference`).
 
 The bijection between highest-weight words and regular cell tables reads the
 factor weights right to left: under this tensor rule the last factor of a
@@ -158,35 +160,39 @@ class SpinCrystal:
                 total[j] += 1 if (b >> j) & 1 else -1
         return Weight(tuple(total))
 
-    def _move(self, i, w, lowering):
-        """f_i (lowering) or e_i on a word by the signature rule; None where it is zero.
+    def _signature(self, i, w):
+        """The free phi_i and the free eps_i positions of w, innermost first, in one pass.
 
         Factors with eps_i = 1 and phi_i = 1 pair off like brackets: each phi
-        factor cancels the nearest uncancelled eps factor to its left. f_i moves
-        the last uncancelled phi factor and e_i the first uncancelled eps
-        factor; the scan for e_i is the scan for f_i run right to left with the
-        two roles swapped.
+        factor cancels the nearest uncancelled eps factor to its left. The
+        free factors read phi...phi eps...eps; f_i moves the last free phi
+        factor and e_i the first free eps factor, so each list starts with
+        the factor its operator moves, then the one it moves next.
         """
-        self._check_index(i)
-        if lowering:
-            movable, blocking = self._phi1[i], self._eps1[i]
-            order = range(len(w))
-        else:
-            movable, blocking = self._eps1[i], self._phi1[i]
-            order = range(len(w) - 1, -1, -1)
-        pending = 0  # blocking factors not yet cancelled
-        pos = -1
-        for k in order:
-            b = w[k]
-            if movable[b]:
-                if pending:
-                    pending -= 1
+        eps1, phi1 = self._eps1[i], self._phi1[i]
+        free_phi = []
+        free_eps = []  # eps factors not yet cancelled, left to right
+        k = 0  # a plain counter: enumerate costs a quarter of the pass on short words
+        for b in w:
+            if eps1[b]:
+                free_eps.append(k)
+            elif phi1[b]:
+                if free_eps:
+                    free_eps.pop()
                 else:
-                    pos = k
-            elif blocking[b]:
-                pending += 1
-        if pos < 0:
+                    free_phi.append(k)
+            k += 1
+        free_phi.reverse()
+        return free_phi, free_eps
+
+    def _move(self, i, w, lowering):
+        """f_i (lowering) or e_i on a word by the signature rule; None where it is zero."""
+        self._check_index(i)
+        free_phi, free_eps = self._signature(i, w)
+        free = free_phi if lowering else free_eps
+        if not free:
             return None
+        pos = free[0]
         table = self._f[i] if lowering else self._e[i]
         return w[:pos] + (table[w[pos]],) + w[pos + 1 :]
 
@@ -221,10 +227,22 @@ class SpinCrystal:
         return total
 
     def is_highest_weight(self, w):
-        return all(self.tensor_e(i, w) is None for i in range(1, self.n + 1))
+        """No e_i moves w: read right to left, a pending phi factor cancels each
+        eps factor. Stops at the first eps factor that none cancels."""
+        for i in range(1, self.n + 1):
+            eps1, phi1 = self._eps1[i], self._phi1[i]
+            pending = 0
+            for b in reversed(w):
+                if eps1[b]:
+                    if not pending:
+                        return False
+                    pending -= 1
+                elif phi1[b]:
+                    pending += 1
+        return True
 
     def is_lowest_weight(self, w):
-        return all(self.tensor_f(i, w) is None for i in range(1, self.n + 1))
+        return not any(self._signature(i, w)[0] for i in range(1, self.n + 1))
 
     def _walk(self, w, step, path):
         # Apply each index until it stops moving, cycling through 1..n; the
@@ -253,10 +271,36 @@ class SpinCrystal:
         return self._walk(w, self.tensor_f, path)
 
     def component_members(self, w, budget_bits=DEFAULT_BUDGET_BITS):
-        """All words in the component of w, found by lowering from its top."""
+        """All words in the component of w, found by lowering from its top.
+
+        One signature per (member, index) gives the f_i-successor and says
+        whether the member is a top or a bottom word.
+        """
         hw = self.to_highest_weight(w)
         indices = range(1, self.n + 1)
-        return hw, closure(hw, lambda cur: [self.tensor_f(i, cur) for i in indices], budget_bits)
+        signature, f = self._signature, self._f
+        tops = bottoms = 0
+
+        def successors(cur):
+            nonlocal tops, bottoms
+            down = []
+            top = True
+            for i in indices:
+                free_phi, free_eps = signature(i, cur)
+                if free_eps:
+                    top = False
+                if free_phi:
+                    pos = free_phi[0]
+                    down.append(cur[:pos] + (f[i][cur[pos]],) + cur[pos + 1 :])
+            tops += top
+            bottoms += not down
+            return down
+
+        members = closure(hw, successors, budget_bits)
+        assert tops == 1 and bottoms == 1, (
+            "every component must have exactly one top and one bottom word"
+        )
+        return hw, members
 
     # -- whole-crystal scans --------------------------------------------------
 
@@ -264,23 +308,17 @@ class SpinCrystal:
         return product(range(1 << self.n), repeat=big_n)
 
     def components(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
-        """Partition the full tensor power into components, scan order deterministic."""
-        _check_budget(self.n * big_n, budget_bits)
-        comps = []
-        visited = set()
-        for w in self.all_words(big_n):
-            if w in visited:
-                continue
-            hw, members = self.component_members(w, budget_bits)
-            hw_count = sum(1 for m in members if self.is_highest_weight(m))
-            lw_count = sum(1 for m in members if self.is_lowest_weight(m))
-            assert hw_count == 1 and lw_count == 1, (
-                "every component must have exactly one top and one bottom word"
-            )
-            visited |= members
-            comps.append(Component(hw, self.word_weight(hw), len(members)))
-        assert len(visited) == (1 << self.n) ** big_n
-        return comps
+        """Partition the full tensor power into components, built one at a time from
+        each top and listed in the product order of their first words."""
+        found = []
+        total = 0
+        for hw in self.highest_weight_words(big_n, budget_bits):
+            _, members = self.component_members(hw, budget_bits)
+            total += len(members)
+            found.append((min(members), Component(hw, self.word_weight(hw), len(members))))
+        assert total == (1 << self.n) ** big_n, "the components must cover the tensor power"
+        found.sort(key=lambda pair: pair[0])
+        return [comp for _, comp in found]
 
     def highest_weight_words(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
         _check_budget(self.n * big_n, budget_bits)

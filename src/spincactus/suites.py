@@ -167,7 +167,9 @@ class XiTableReference(XiCache):
         return self.sigma_pqr(self.s_pq(w, p + 1, q), p, q, p)
 
 
-def suite_crystal_axioms(n_values=(2, 3), big_n_max=4):
+def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS):
+    # the largest whole-crystal scan: N factors at the largest rank
+    _check_budget(max(n_values) * big_n_max, budget_bits)
     checks = []
     for n in n_values:
         crystal = SpinCrystal(n)
@@ -283,7 +285,7 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
         )
         _check(checks, f"commutor involutive on two factors n={n}", bad == 0)
     crystal = SpinCrystal(2)
-    cache = XiCache(crystal)
+    cache = XiCache(crystal, budget_bits)
     bad = 0
     for w in crystal.all_words(3):
         path1 = cache.commutor(cache.sigma_pqr(w, 2, 3, 2), 1)

@@ -6,7 +6,7 @@ from spincactus.cactus import XiCache, orbit, parse_cactus_word
 from spincactus.celldiag import diagram_of_weight, enumerate_delta, enumerate_tables
 from spincactus.crystal import SpinCrystal, closure, crystal_dot, node_limit
 from spincactus.errors import BudgetExceededError, ValidationError
-from spincactus.suites import XiTableReference, suite_cactus_relations
+from spincactus.suites import XiTableReference, suite_cactus_relations, suite_crystal_axioms
 
 CRYSTAL = SpinCrystal(2)
 TOP = CRYSTAL.to_highest_weight((0, 0))
@@ -23,6 +23,8 @@ ENTRY_POINTS = {
     "crystal_dot_words": lambda bits: crystal_dot(CRYSTAL, 2, bits, words=[(0, 0)]),
     "orbit": lambda bits: orbit(XiCache(SpinCrystal(3)), TABLE, GENS, bits),
     "XiTableReference": lambda bits: XiTableReference(CRYSTAL, bits).xi_word((0, 0)),
+    "XiCache": lambda bits: XiCache(CRYSTAL, bits),
+    "suite_crystal_axioms": lambda bits: suite_crystal_axioms((2,), 1, bits),
 }
 
 
@@ -101,3 +103,12 @@ def test_cactus_relations_charges_generators_times_tables(n, big_n, needed):
     with pytest.raises(BudgetExceededError) as info:
         suite_cactus_relations(n, big_n, needed - 1)
     assert (info.value.needed_bits, info.value.budget_bits) == (needed, needed - 1)
+
+
+@pytest.mark.parametrize("n_values, big_n, needed", [((2,), 6, 12), ((2, 3), 4, 12), ((3,), 2, 6)])
+def test_crystal_axioms_charges_its_largest_scan(n_values, big_n, needed):
+    # the largest rank times N bits; refused before the first word
+    with pytest.raises(BudgetExceededError) as info:
+        suite_crystal_axioms(n_values, big_n, needed - 1)
+    assert (info.value.needed_bits, info.value.budget_bits) == (needed, needed - 1)
+    assert suite_crystal_axioms(n_values, min(big_n, 2), needed)["pass"]

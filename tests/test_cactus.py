@@ -266,3 +266,31 @@ def test_closed_form_s_pq_matches_recursion(n, big_n_max):
             for p in range(1, big_n + 1):
                 for q in range(p, big_n + 1):
                     assert cache.s_pq(w, p, q) == reference.s_pq(w, p, q)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_xi_on_one_factor_is_a_bit_flip(n):
+    # w0 on a spinor weight: every sign flips at even rank, all but the last at odd rank
+    c = SpinCrystal(n)
+    cache = XiCache(c)
+    flip = (1 << (n if n % 2 == 0 else n - 1)) - 1
+    for b in c.elements():
+        assert cache.xi_word((b,)) == (b ^ flip,)
+        assert c.element_weight(b ^ flip) == w0_image(c.element_weight(b))
+
+
+def test_bottom_word_memo_is_bounded_and_answer_neutral():
+    c = SpinCrystal(3)
+    memo, kept, reference = XiCache(c, 0), XiCache(c), XiTableReference(c)
+    for big_n in range(1, 5):
+        for w in c.all_words(big_n):
+            expected = XiCache(c).xi_word(w)
+            assert memo.xi_word(w) == kept.xi_word(w) == reference.xi_word(w) == expected
+            assert len(memo._bottoms) <= 1
+            for p in range(1, big_n + 1):
+                for q in range(p, big_n + 1):
+                    expected = XiCache(c).s_pq(w, p, q)
+                    assert memo.s_pq(w, p, q) == reference.s_pq(w, p, q) == expected
+    assert len(memo._bottoms) == 1
+    # one bottom word per top of the components met, n=3 and N=1..4
+    assert len(kept._bottoms) == sum(len(c.highest_weight_words(big_n)) for big_n in range(1, 5))

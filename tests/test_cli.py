@@ -141,6 +141,23 @@ def test_verify_commutor_budget_exit(capsys, dims, bits, expected):
 @pytest.mark.parametrize(
     "dims, bits, expected",
     [
+        # the largest scan at the defaults is (Lambda C^3)^{(x)4}, 2^12 words
+        ((), 11, EXIT_BUDGET),
+        ((), 12, EXIT_OK),
+        (("--n", "2", "--N", "6"), 4, EXIT_BUDGET),
+        (("--n", "2", "--N", "2"), 4, EXIT_OK),
+    ],
+)
+def test_verify_crystal_axioms_budget_exit(capsys, dims, bits, expected):
+    code, out, err = run(capsys, "verify", "crystal-axioms", *dims, "--budget-bits", str(bits))
+    assert code == expected
+    if expected == EXIT_BUDGET:
+        assert out == "" and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "dims, bits, expected",
+    [
         # one action per (generator, table): 6 x 60 = 360 at n=2, N=4, 6 x 160 = 960 at n=3
         (("--n", "2", "--N", "4"), 8, EXIT_BUDGET),
         (("--n", "2", "--N", "4"), 9, EXIT_OK),
@@ -245,10 +262,13 @@ def test_nu_with_interior_zero_rejected(capsys):
 
 
 def test_every_verify_suite_passes_small(capsys):
+    from spincactus.cli import VERIFY_OPTIONS
     from spincactus.suites import SUITES
 
+    assert set(VERIFY_OPTIONS) == set(SUITES)
     for name in sorted(SUITES):
-        code, out, _ = run(capsys, "verify", name, "--n", "2", "--N", "3")
+        dims = ("--N", "3") if "N" in VERIFY_OPTIONS[name] else ()
+        code, out, _ = run(capsys, "verify", name, "--n", "2", *dims)
         assert code == EXIT_OK, name
         report = json.loads(out)
         assert report["pass"] is True and report["schema"] == "cactus-crystal/1"
@@ -312,6 +332,11 @@ MALFORMED = [
     ["enumerate", "delta", "--n", "2", "--N", "2", "--format", "dot"],
     ["convert", "table", "sssyt", "--format", "dot", "--payload", '{"steps2": [[1, 1]]}'],
     ["act", "--word", "s(1,2)", "--format", "dot", "--payload", '{"steps2": [[1, 1], [1, -1]]}'],
+    # an option the suite does not read
+    ["verify", "thm51-signs", "--N", "7"],
+    ["verify", "thm51-signs", "--budget-bits", "0"],
+    ["verify", "thm52", "--budget-bits", "0"],
+    ["verify", "bijections", "--budget-bits", "0"],
 ]
 
 

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from spincactus.celldiag import diagram_of_weight, enumerate_delta, enumerate_tables, table_from_steps
-from spincactus.crystal import SpinCrystal, census_json, crystal_dot
+from spincactus.crystal import Component, SpinCrystal, census_json, closure, crystal_dot
 from spincactus.errors import BudgetExceededError, ValidationError
 from spincactus.suites import (
     predicted_tensor_weights,
@@ -264,3 +266,69 @@ def test_dot_and_census_exports():
     census = census_json(c, 2)
     assert {"lambda2": [2, 2], "count": 1} in census
     assert sum(item["count"] for item in census) == 6
+
+
+def _reference_positions(c, move, i, w):
+    """The factor positions that repeated reference moves of index i change, in order."""
+    positions = []
+    cur = w
+    nxt = move(c, i, cur)
+    while nxt is not None:
+        (pos,) = [k for k in range(len(w)) if nxt[k] != cur[k]]
+        positions.append(pos)
+        cur, nxt = nxt, move(c, i, nxt)
+    return positions
+
+
+@pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 5), (4, 3)])
+def test_signature_and_extremal_tests_match_reference_moves(n, big_n_max):
+    c = SpinCrystal(n)
+    for big_n in range(1, big_n_max + 1):
+        for w in c.all_words(big_n):
+            top = bottom = True
+            for i in range(1, n + 1):
+                free_phi = _reference_positions(c, tensor_f_reference, i, w)
+                free_eps = _reference_positions(c, tensor_e_reference, i, w)
+                assert c._signature(i, w) == (free_phi, free_eps)
+                top = top and not free_eps
+                bottom = bottom and not free_phi
+            assert c.is_highest_weight(w) == top
+            assert c.is_lowest_weight(w) == bottom
+
+
+def _components_by_visited_set(c, big_n):
+    """Components in the scan order of a visited set over the product order: the order oracle."""
+    comps = []
+    visited = set()
+    indices = range(1, c.n + 1)
+    for w in c.all_words(big_n):
+        if w in visited:
+            continue
+        hw = c.to_highest_weight(w)
+        members = closure(hw, lambda cur: [c.tensor_f(i, cur) for i in indices], 24)
+        assert sum(map(c.is_highest_weight, members)) == 1
+        assert sum(map(c.is_lowest_weight, members)) == 1
+        visited |= members
+        comps.append(Component(hw, c.word_weight(hw), len(members)))
+    assert len(visited) == (1 << c.n) ** big_n
+    return comps
+
+
+@pytest.mark.parametrize("n, big_n_max", [(2, 6), (3, 5), (4, 4)])
+def test_components_match_visited_set_oracle(n, big_n_max):
+    c = SpinCrystal(n)
+    for big_n in range(1, big_n_max + 1):
+        assert c.components(big_n) == _components_by_visited_set(c, big_n)
+
+
+def test_components_hold_one_component_at_a_time():
+    # 2^15 words; a visited set of them would take several MiB
+    c = SpinCrystal(3)
+    tracemalloc.start()
+    try:
+        comps = c.components(5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(comp.size for comp in comps) == 1 << 15
+    assert peak < 1 << 20
