@@ -31,14 +31,6 @@ FORMATS = {
 }
 
 
-# the options among --N and --budget-bits that each verify suite reads; any other is refused
-VERIFY_OPTIONS = {
-    "crystal-axioms": ("N", "budget_bits"), "census": ("N", "budget_bits"),
-    "commutor": ("N", "budget_bits"), "cactus-relations": ("N", "budget_bits"),
-    "thm2": ("N", "budget_bits"), "thm52": ("N",), "thm51-signs": (), "bijections": ("N",),
-}
-
-
 def _parse_csv_ints(text):
     try:
         return tuple(int(x) for x in text.split(","))
@@ -77,23 +69,18 @@ def _emit(args, payload, text_lines):
 
 
 def _load_payload(args):
-    if args.payload is not None:
-        return json.loads(args.payload)
-    data = sys.stdin.read()
-    return json.loads(data)
+    return json.loads(args.payload if args.payload is not None else sys.stdin.read())
 
 
-def _need_dims(args, need_n=True, need_big_n=True):
+def _need_dims(args, need_n=True):
     if need_n and args.n is None:
         raise ValidationError("--n is required here")
-    if need_big_n and args.N is None:
+    if args.N is None:
         raise ValidationError("--N is required here")
 
 
 def cmd_enumerate(args):
     kind = args.kind
-    records = []
-    lines = []
     _need_dims(args, need_n=kind != "tables")
     if kind == "delta":
         lams = celldiag.enumerate_delta(args.n, args.N)
@@ -106,6 +93,8 @@ def cmd_enumerate(args):
         lines = [f"l={list(d.l)} r={list(d.r)}" for d in diagrams]
     elif kind == "tables":
         lam = _require_lambda(args)
+        if args.n is not None and args.n != lam.rank:
+            raise ValidationError(f"--n {args.n} does not match the rank {lam.rank} of --lambda")
         shape = celldiag.diagram_of_weight(lam, args.N)
         tables = celldiag.enumerate_tables(shape)
         records = [t.to_json() for t in tables]
@@ -217,54 +206,61 @@ def cmd_act(args):
     return EXIT_OK
 
 
+def _ranks(top):
+    if top < 2:
+        raise ValidationError("--n must be at least 2")
+    return tuple(range(2, top + 1))
+
+
+def _power(top):
+    if top < 1:
+        raise ValidationError("--N must be at least 1")
+    return top
+
+
+# option -> (suite parameter, conversion; int keeps the value) for each option a suite
+# reads; any other option given is refused, and one not given keeps the suite's default
+_N_VALUES, _BIG_N_MAX = ("n_values", _ranks), ("big_n_max", _power)
+_BUDGET_BITS = ("budget_bits", int)
+VERIFY_OPTIONS = {
+    "crystal-axioms": {"n": _N_VALUES, "N": _BIG_N_MAX, "budget_bits": _BUDGET_BITS},
+    "census": {"n": _N_VALUES, "N": _BIG_N_MAX, "budget_bits": _BUDGET_BITS},
+    "commutor": {"n": _N_VALUES, "N": _BIG_N_MAX, "budget_bits": _BUDGET_BITS},
+    "cactus-relations": {"n": ("n", int), "N": ("big_n", _power), "budget_bits": _BUDGET_BITS},
+    "thm2": {"n": _N_VALUES, "N": _BIG_N_MAX, "budget_bits": _BUDGET_BITS},
+    "thm52": {"n": _N_VALUES, "N": _BIG_N_MAX, "seed": ("seed", int)},
+    "thm51-signs": {"n": _N_VALUES},
+    "bijections": {"n": ("chain_n_max", int),
+                   "N": ("chain_big_ns", lambda top: tuple(range(3, max(3, _power(top)) + 1)))},
+}
+
+
 def cmd_verify(args):
     name = args.suite
+    reads = VERIFY_OPTIONS[name]
     budget = _budget_bits(args)
-    for option in ("N", "budget_bits"):
-        if getattr(args, option) is not None and option not in VERIFY_OPTIONS[name]:
-            flag = "--" + option.replace("_", "-")
-            raise ValidationError(f"{flag} is not read by the {name} suite")
-
-    def ranks(default_max):
-        top = args.n if args.n is not None else default_max
-        if top < 2:
-            raise ValidationError("--n must be at least 2")
-        return tuple(range(2, top + 1))
-
-    def power(default_max):
-        top = args.N if args.N is not None else default_max
-        if top < 1:
-            raise ValidationError("--N must be at least 1")
-        return top
-
-    if name == "crystal-axioms":
-        report = suites.suite_crystal_axioms(ranks(3), power(4), budget_bits=budget)
-    elif name == "census":
-        report = suites.suite_census(ranks(3), power(5), budget_bits=budget)
-    elif name == "commutor":
-        report = suites.suite_commutor(ranks(3), power(4), budget_bits=budget)
-    elif name == "cactus-relations":
-        report = suites.suite_cactus_relations(
-            n=args.n if args.n is not None else 2,
-            big_n=power(4),
-            budget_bits=budget,
-        )
-    elif name == "thm2":
-        report = suites.suite_thm2(ranks(3), power(3), budget_bits=budget)
-    elif name == "thm52":
-        report = suites.suite_thm52(ranks(3), power(4), seed=args.seed)
-    elif name == "thm51-signs":
-        report = suites.suite_thm51_signs(ranks(3))
-    elif name == "bijections":
-        big_n_max = power(4)
-        report = suites.suite_bijections(
-            chain_n_max=args.n if args.n is not None else 3,
-            chain_big_ns=tuple(range(3, max(3, big_n_max) + 1)),
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown suite {name}")
+    kwargs = {"budget_bits": budget} if "budget_bits" in reads else {}
+    for option in ("n", "N", "budget_bits", "seed"):
+        value = getattr(args, option)
+        if value is None:
+            continue
+        if option not in reads:
+            raise ValidationError(f"--{option.replace('_', '-')} is not read by the {name} suite")
+        param, convert = reads[option]
+        kwargs[param] = convert(value)
+    report = suites.SUITES[name](**kwargs)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if report["pass"] else EXIT_FAIL
+
+
+def _payload_table(args):
+    """The payload's table; an explicit --n or --N must be its height or length."""
+    table = _decode(celldiag.CellTable.from_json, _load_payload(args))
+    for flag, given, what, size in (("--n", args.n, "height", table.height),
+                                    ("--N", args.N, "length", table.length)):
+        if given is not None and given != size:
+            raise ValidationError(f"{flag} {given} does not match the table's {what} {size}")
+    return table
 
 
 def cmd_export(args):
@@ -281,13 +277,12 @@ def cmd_export(args):
         else:
             out = crystal.crystal_dot(spin, args.N, budget)
     elif args.what == "component":
-        table = _decode(celldiag.CellTable.from_json, _load_payload(args))
+        table = _payload_table(args)
         spin = crystal.SpinCrystal(table.height)
-        word = spin.table_to_word(table)
-        _, members = spin.component_members(word, budget)
+        _, members = spin.component_members(spin.table_to_word(table), budget)
         out = crystal.crystal_dot(spin, table.length, budget, words=members)
     elif args.what == "orbit":
-        table = _decode(celldiag.CellTable.from_json, _load_payload(args))
+        table = _payload_table(args)
         spin = crystal.SpinCrystal(table.height)
         gens = cactus.parse_cactus_word(args.word or "")
         cache = cactus.XiCache(spin, budget)
@@ -318,20 +313,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=None, help="height / rank n")
-        p.add_argument("--N", type=int, dest="N", default=None, help="tensor power N")
-        p.add_argument("--budget-bits", type=int, default=None,
-                       help="scan budget, max nodes = 2^bits (0..24); env CACTUS_BUDGET_BITS")
+    def options(p, dims=True, budget=True, seed=False):
+        if dims:
+            p.add_argument("--n", type=int, default=None, help="height / rank n")
+            p.add_argument("--N", type=int, dest="N", default=None, help="tensor power N")
+        if budget:
+            p.add_argument("--budget-bits", type=int, default=None,
+                           help="scan budget, max nodes = 2^bits (0..24); env CACTUS_BUDGET_BITS")
         p.add_argument("--format", default=None, help="json, table or dot, as the command allows")
-        p.add_argument("--seed", type=int, default=20240801, help="seed for randomized suites")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for the thm52 suite's draws")
 
     p_enum = sub.add_parser("enumerate", help="enumerate delta/diagrams/tables/sssyt/gtp")
     p_enum.add_argument("kind", choices=("delta", "diagrams", "tables", "sssyt", "gtp"))
     p_enum.add_argument("--lambda", dest="lam", default=None,
                         help="weight as doubled coordinates, e.g. 3,1,1,-1")
     p_enum.add_argument("--nu", default=None, help="partition rows, e.g. 4,1")
-    common(p_enum)
+    options(p_enum, budget=False)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_conv = sub.add_parser("convert", help="convert between table/sssyt/gtp records")
@@ -340,7 +339,7 @@ def build_parser():
     p_conv.add_argument("--payload", default=None, help="JSON record (default: stdin)")
     p_conv.add_argument("--nu", default=None, help="shape rows, required for gtp input")
     p_conv.add_argument("--check", action="store_true", help="re-invert and compare")
-    common(p_conv)
+    options(p_conv, budget=False)
     p_conv.set_defaults(func=cmd_convert)
 
     p_act = sub.add_parser("act", help="apply a cactus word to a table")
@@ -348,12 +347,12 @@ def build_parser():
     p_act.add_argument("--payload", default=None, help="table JSON (default: stdin)")
     p_act.add_argument("--as", dest="as_kind", choices=("table", "sssyt", "gtp"),
                        default="table")
-    common(p_act)
+    options(p_act, dims=False)
     p_act.set_defaults(func=cmd_act)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=sorted(suites.SUITES))
-    common(p_ver)
+    options(p_ver, seed=True)
     p_ver.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser("export", help="export crystal graph, component, or orbit")
@@ -361,7 +360,7 @@ def build_parser():
     p_exp.add_argument("--payload", default=None, help="table JSON for component/orbit")
     p_exp.add_argument("--word", default=None, help="cactus word for orbit generators")
     p_exp.add_argument("--out", default=None, help="output file (default: stdout)")
-    common(p_exp)
+    options(p_exp)
     p_exp.set_defaults(func=cmd_export)
 
     return parser

@@ -189,27 +189,24 @@ def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGE
                     eps, phi = crystal.eps(i, w), crystal.phi(i, w)
                     if phi - eps != _pairing(wt, i, n):
                         bad.append(("pairing", w, i))
+                    root = _root2(i, n)
                     down = crystal.tensor_f(i, w)
                     if down is not None:
-                        shift = tuple(
-                            a - b for a, b in zip(wt.coords2, _root2(i, n))
-                        )
+                        shift = tuple(a - b for a, b in zip(wt.coords2, root))
                         if crystal.word_weight(down).coords2 != shift:
                             bad.append(("weight-shift-f", w, i))
                         if crystal.tensor_e(i, down) != w:
                             bad.append(("ef-adjoint", w, i))
                     up = crystal.tensor_e(i, w)
                     if up is not None:
-                        shift = tuple(
-                            a + b for a, b in zip(wt.coords2, _root2(i, n))
-                        )
+                        shift = tuple(a + b for a, b in zip(wt.coords2, root))
                         if crystal.word_weight(up).coords2 != shift:
                             bad.append(("weight-shift-e", w, i))
                         if crystal.tensor_f(i, up) != w:
                             bad.append(("fe-adjoint", w, i))
-                    if crystal.tensor_f(i, w) != tensor_f_reference(crystal, i, w):
+                    if down != tensor_f_reference(crystal, i, w):
                         bad.append(("f-vs-reference", w, i))
-                    if crystal.tensor_e(i, w) != tensor_e_reference(crystal, i, w):
+                    if up != tensor_e_reference(crystal, i, w):
                         bad.append(("e-vs-reference", w, i))
             _check(
                 checks,
@@ -540,7 +537,7 @@ def suite_bijections(
     f_n_max=5,
     f_big_n_max=7,
     chain_n_max=3,
-    chain_big_ns=(3, 4, 5),
+    chain_big_ns=(3, 4),
 ):
     checks = []
     for n in range(2, kn_n_max + 1):

@@ -1,8 +1,12 @@
+import argparse
+import inspect
 import json
 
 import pytest
 
-from spincactus.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from spincactus import suites
+from spincactus.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, VERIFY_OPTIONS, build_parser, main
+from spincactus.crystal import DEFAULT_BUDGET_BITS
 
 
 def run(capsys, *argv):
@@ -337,6 +341,14 @@ MALFORMED = [
     ["verify", "thm51-signs", "--budget-bits", "0"],
     ["verify", "thm52", "--budget-bits", "0"],
     ["verify", "bijections", "--budget-bits", "0"],
+    # --seed is read by the thm52 suite alone
+    ["verify", "bijections", "--seed", "5"],
+    ["verify", "cactus-relations", "--seed", "5"],
+    ["verify", "census", "--seed", "5"],
+    ["verify", "commutor", "--seed", "5"],
+    ["verify", "crystal-axioms", "--seed", "5"],
+    ["verify", "thm2", "--seed", "5"],
+    ["verify", "thm51-signs", "--seed", "5"],
 ]
 
 
@@ -354,3 +366,73 @@ def test_malformed_budget_env_is_usage_error(capsys, monkeypatch, raw):
     code, _, err = run(capsys, "verify", "census", "--N", "2")
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+
+
+TWO_BY_TWO = '{"steps2": [[1, 1], [1, -1]]}'
+
+# (argv, the flag the command refuses): options a command does not declare, options a
+# suite does not read, and dimensions that contradict the weight or the payload table
+REFUSED = [
+    (["act", "--word", "", "--payload", TWO_BY_TWO, "--n", "2"], "--n"),
+    (["act", "--word", "", "--payload", TWO_BY_TWO, "--N", "2"], "--N"),
+    (["act", "--word", "", "--payload", TWO_BY_TWO, "--seed", "3"], "--seed"),
+    (["enumerate", "delta", "--n", "2", "--N", "2", "--budget-bits", "3"], "--budget-bits"),
+    (["enumerate", "delta", "--n", "2", "--N", "2", "--seed", "1"], "--seed"),
+    (["convert", "table", "sssyt", "--payload", TWO_BY_TWO, "--budget-bits", "3"],
+     "--budget-bits"),
+    (["convert", "table", "sssyt", "--payload", TWO_BY_TWO, "--seed", "1"], "--seed"),
+    (["export", "orbit", "--payload", TWO_BY_TWO, "--seed", "1"], "--seed"),
+    *[(argv, "--seed") for argv in MALFORMED if "--seed" in argv],
+    (["export", "component", "--n", "7", "--N", "9", "--payload", TWO_BY_TWO], "--n"),
+    (["export", "orbit", "--N", "3", "--payload", TWO_BY_TWO], "--N"),
+    (["enumerate", "tables", "--lambda", "1,1", "--N", "3", "--n", "5"], "--n"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", REFUSED)
+def test_refused_option_exits_2_naming_it(capsys, monkeypatch, argv, flag):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and flag in err
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: sorted(flag for action in sub._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help"))
+        for name, sub in commands.choices.items()
+    }
+    assert declared == {
+        "enumerate": ["--N", "--format", "--lambda", "--n", "--nu"],
+        "convert": ["--N", "--check", "--format", "--n", "--nu", "--payload"],
+        "act": ["--as", "--budget-bits", "--format", "--payload", "--word"],
+        "verify": ["--N", "--budget-bits", "--format", "--n", "--seed"],
+        "export": ["--N", "--budget-bits", "--format", "--n", "--out", "--payload", "--word"],
+    }
+
+
+def test_verify_options_name_suite_parameters():
+    assert set(VERIFY_OPTIONS) == set(suites.SUITES)
+    for name, reads in VERIFY_OPTIONS.items():
+        params = inspect.signature(suites.SUITES[name]).parameters
+        assert all(param in params for param, _ in reads.values()), name
+    assert [name for name, reads in VERIFY_OPTIONS.items() if "seed" in reads] == ["thm52"]
+
+
+def test_verify_without_options_keeps_the_suite_defaults(capsys, monkeypatch):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    calls = {}
+    for name in suites.SUITES:
+        def record(_name=name, **kwargs):
+            calls[_name] = kwargs
+            return {"pass": True}
+        monkeypatch.setitem(suites.SUITES, name, record)
+    for name in suites.SUITES:
+        assert run(capsys, "verify", name)[0] == EXIT_OK
+    assert calls == {
+        name: {"budget_bits": DEFAULT_BUDGET_BITS} if "budget_bits" in VERIFY_OPTIONS[name] else {}
+        for name in suites.SUITES
+    }
