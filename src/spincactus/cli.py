@@ -3,6 +3,14 @@
 Weights on the command line are comma-separated DOUBLED coordinates:
 ``--lambda 3,1,1,-1`` means (3/2, 1/2, 1/2, -1/2). Exit codes: 0 success,
 1 verification failure, 2 usage or validation error, 3 resource budget.
+
+``READS[command][kind]`` is the whole option surface. The kind is the enumerate
+kind, the convert source, the export target or the verify suite; ``act`` has one
+row. Each row names the options the kind reads, those it requires, and the
+formats it writes, default first; under ``--check``, ``convert`` also reads its
+target's row. ``build_parser`` declares each command's options as the union of
+its rows, and ``_check_options`` refuses an option the row does not read,
+requires the required ones and resolves ``--format`` before the command runs.
 """
 
 from __future__ import annotations
@@ -22,13 +30,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 SCHEMA = "cactus-crystal/1"
-
-# the output formats each command (each export target) can write; the first is the default
-FORMATS = {
-    "enumerate": ("json", "table"), "convert": ("json", "table"), "act": ("json", "table"),
-    "crystal-graph": ("json", "dot"), "component": ("dot",),
-    "verify": ("json",), "orbit": ("json",),
-}
 
 
 def _parse_csv_ints(text):
@@ -50,16 +51,6 @@ def _budget_bits(args):
     return bits
 
 
-def _resolve_format(args):
-    key = args.what if args.command == "export" else args.command
-    formats = FORMATS[key]
-    if args.format is None:
-        args.format = formats[0]
-    if args.format not in formats:
-        raise ValidationError(f"--format {args.format} is not available for {key}; "
-                              f"choose from {', '.join(formats)}")
-
-
 def _emit(args, payload, text_lines):
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -72,16 +63,8 @@ def _load_payload(args):
     return json.loads(args.payload if args.payload is not None else sys.stdin.read())
 
 
-def _need_dims(args, need_n=True):
-    if need_n and args.n is None:
-        raise ValidationError("--n is required here")
-    if args.N is None:
-        raise ValidationError("--N is required here")
-
-
 def cmd_enumerate(args):
     kind = args.kind
-    _need_dims(args, need_n=kind != "tables")
     if kind == "delta":
         lams = celldiag.enumerate_delta(args.n, args.N)
         records = [lam.to_json() for lam in lams]
@@ -92,7 +75,7 @@ def cmd_enumerate(args):
         records = [d.to_json() for d in diagrams]
         lines = [f"l={list(d.l)} r={list(d.r)}" for d in diagrams]
     elif kind == "tables":
-        lam = _require_lambda(args)
+        lam = Weight(_parse_csv_ints(args.lam))
         if args.n is not None and args.n != lam.rank:
             raise ValidationError(f"--n {args.n} does not match the rank {lam.rank} of --lambda")
         shape = celldiag.diagram_of_weight(lam, args.N)
@@ -100,32 +83,19 @@ def cmd_enumerate(args):
         records = [t.to_json() for t in tables]
         lines = [str(t.to_json()["steps2"]) for t in tables]
     elif kind == "sssyt":
-        nu = _require_nu(args)
-        chains = youngt.enumerate_sssyt(nu)
+        chains = youngt.enumerate_sssyt(_nu(args))
         records = [s.to_json() for s in chains]
         lines = [str(s.to_json()["chain"]) for s in chains]
-    elif kind == "gtp":
-        nu = _require_nu(args)
-        patterns = youngt.enumerate_gtp(nu)
+    else:  # gtp
+        patterns = youngt.enumerate_gtp(_nu(args))
         records = [p.to_json() for p in patterns]
         lines = [str(p.to_json()) for p in patterns]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown kind {kind}")
     payload = {"schema": SCHEMA, "kind": kind, "records": records, "count": len(records)}
     _emit(args, payload, lines + [f"count: {len(records)}"])
     return EXIT_OK
 
 
-def _require_lambda(args):
-    if args.lam is None:
-        raise ValidationError("--lambda is required for this kind")
-    return Weight(_parse_csv_ints(args.lam))
-
-
-def _require_nu(args):
-    if args.nu is None:
-        raise ValidationError("--nu is required for this kind")
-    _need_dims(args)
+def _nu(args):
     rows = list(_parse_csv_ints(args.nu))
     while rows and rows[-1] == 0:
         rows.pop()
@@ -148,32 +118,29 @@ def _convert(args, source_kind, target_kind, data):
         chain = youngt.y_map(table)
     elif source_kind == "sssyt":
         chain = _decode(youngt.SSYTable.from_json, data, n=args.n)
+        if args.n not in (None, chain.shape.n):
+            raise ValidationError(f"--n {args.n} does not match the chain's n {chain.shape.n}")
         table = youngt.y_inverse(chain)
-    elif source_kind == "gtp":
-        nu = _require_nu(args)
-        chain = youngt.j_inverse(_decode(youngt.GTPattern.from_json, data), nu)
+    else:  # gtp
+        chain = youngt.j_inverse(_decode(youngt.GTPattern.from_json, data), _nu(args))
         table = youngt.y_inverse(chain)
-    else:
-        raise ValidationError(f"unknown source kind {source_kind}")
     if target_kind == "table":
         return table, table.to_json()
     if target_kind == "sssyt":
         return chain, chain.to_json()
-    if target_kind == "gtp":
-        pattern = youngt.j_map(chain)
-        return pattern, pattern.to_json()
-    raise ValidationError(f"unknown target kind {target_kind}")
+    pattern = youngt.j_map(chain)
+    return pattern, pattern.to_json()
 
 
 def cmd_convert(args):
     data = _load_payload(args)
-    value, record = _convert(args, args.source, args.target, data)
+    value, record = _convert(args, args.kind, args.target, data)
     round_trip_ok = None
     if args.check:
-        back, _ = _convert(args, args.target, args.source, record)
-        again, _ = _convert(args, args.source, args.target, back.to_json())
+        back, _ = _convert(args, args.target, args.kind, record)
+        again, _ = _convert(args, args.kind, args.target, back.to_json())
         round_trip_ok = again == value
-    payload = {"schema": SCHEMA, "from": args.source, "to": args.target, "record": record}
+    payload = {"schema": SCHEMA, "from": args.kind, "to": args.target, "record": record}
     lines = [json.dumps(record)]
     if round_trip_ok is not None:
         payload["round_trip_ok"] = round_trip_ok
@@ -206,10 +173,14 @@ def cmd_act(args):
     return EXIT_OK
 
 
-def _ranks(top):
+def _rank(top):
     if top < 2:
         raise ValidationError("--n must be at least 2")
-    return tuple(range(2, top + 1))
+    return top
+
+
+def _ranks(top):
+    return tuple(range(2, _rank(top) + 1))
 
 
 def _power(top):
@@ -219,7 +190,7 @@ def _power(top):
 
 
 # option -> (suite parameter, conversion; int keeps the value) for each option a suite
-# reads; any other option given is refused, and one not given keeps the suite's default
+# reads; one not given keeps the suite's default
 _N_VALUES, _BIG_N_MAX = ("n_values", _ranks), ("big_n_max", _power)
 _BUDGET_BITS = ("budget_bits", int)
 VERIFY_OPTIONS = {
@@ -230,25 +201,19 @@ VERIFY_OPTIONS = {
     "thm2": {"n": _N_VALUES, "N": _BIG_N_MAX, "budget_bits": _BUDGET_BITS},
     "thm52": {"n": _N_VALUES, "N": _BIG_N_MAX, "seed": ("seed", int)},
     "thm51-signs": {"n": _N_VALUES},
-    "bijections": {"n": ("chain_n_max", int),
+    "bijections": {"n": ("chain_n_max", _rank),
                    "N": ("chain_big_ns", lambda top: tuple(range(3, max(3, _power(top)) + 1)))},
 }
 
 
 def cmd_verify(args):
-    name = args.suite
-    reads = VERIFY_OPTIONS[name]
     budget = _budget_bits(args)
-    kwargs = {"budget_bits": budget} if "budget_bits" in reads else {}
-    for option in ("n", "N", "budget_bits", "seed"):
-        value = getattr(args, option)
-        if value is None:
-            continue
-        if option not in reads:
-            raise ValidationError(f"--{option.replace('_', '-')} is not read by the {name} suite")
-        param, convert = reads[option]
-        kwargs[param] = convert(value)
-    report = suites.SUITES[name](**kwargs)
+    kwargs = {}
+    for option, (param, convert) in VERIFY_OPTIONS[args.kind].items():
+        value = budget if option == "budget_bits" else getattr(args, option)
+        if value is not None:
+            kwargs[param] = convert(value)
+    report = suites.SUITES[args.kind](**kwargs)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
@@ -265,8 +230,7 @@ def _payload_table(args):
 
 def cmd_export(args):
     budget = _budget_bits(args)
-    if args.what == "crystal-graph":
-        _need_dims(args)
+    if args.kind == "crystal-graph":
         spin = crystal.SpinCrystal(args.n)
         if args.format == "json":
             out = json.dumps(
@@ -276,12 +240,12 @@ def cmd_export(args):
             )
         else:
             out = crystal.crystal_dot(spin, args.N, budget)
-    elif args.what == "component":
+    elif args.kind == "component":
         table = _payload_table(args)
         spin = crystal.SpinCrystal(table.height)
         _, members = spin.component_members(spin.table_to_word(table), budget)
         out = crystal.crystal_dot(spin, table.length, budget, words=members)
-    elif args.what == "orbit":
+    else:  # orbit
         table = _payload_table(args)
         spin = crystal.SpinCrystal(table.height)
         gens = cactus.parse_cactus_word(args.word or "")
@@ -292,14 +256,78 @@ def cmd_export(args):
             indent=2,
             sort_keys=True,
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown export {args.what}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
     else:
         print(out)
     return EXIT_OK
+
+
+# option -> (flag, add_argument keywords); every option defaults to None, "not given"
+OPTIONS = {
+    "lam": ("--lambda", {"help": "weight as doubled coordinates, e.g. 3,1,1,-1"}),
+    "nu": ("--nu", {"help": "partition rows, e.g. 4,1"}),
+    "word": ("--word", {"help": 'cactus word, e.g. "s(1,3) s(2,4)", rightmost acts first'}),
+    "payload": ("--payload", {"help": "JSON record (default: stdin)"}),
+    "as_kind": ("--as", {"choices": ("table", "sssyt", "gtp"), "help": "record to write"}),
+    "check": ("--check", {"action": "store_true", "help": "re-invert and compare"}),
+    "out": ("--out", {"help": "output file (default: stdout)"}),
+    "n": ("--n", {"type": int, "help": "height / rank n"}),
+    "N": ("--N", {"type": int, "help": "tensor power N"}),
+    "budget_bits": ("--budget-bits", {"type": int, "help": "scan budget, max nodes = 2^bits "
+                                      "(0..24); env CACTUS_BUDGET_BITS"}),
+    "seed": ("--seed", {"type": int, "help": "seed for the thm52 suite's draws"}),
+}
+
+# command -> kind -> (options read, options required, formats written, default first)
+_TEXT = ("json", "table")
+_DIMS = ("n", "N")
+_NU = ("nu", "N", "n")
+READS = {
+    "enumerate": {
+        "delta": (_DIMS, _DIMS, _TEXT),
+        "diagrams": (_DIMS, _DIMS, _TEXT),
+        "tables": (("lam", "N", "n"), ("lam", "N"), _TEXT),
+        "sssyt": (_NU, _NU, _TEXT),
+        "gtp": (_NU, _NU, _TEXT),
+    },
+    "convert": {
+        "table": (("payload", "check"), (), _TEXT),
+        "sssyt": (("payload", "check", "n"), (), _TEXT),
+        "gtp": (("payload", "check") + _NU, _NU, _TEXT),
+    },
+    "act": {"": (("word", "payload", "as_kind", "budget_bits"), ("word",), _TEXT)},
+    "verify": {name: (tuple(reads), (), ("json",))
+               for name, reads in sorted(VERIFY_OPTIONS.items())},
+    "export": {
+        "crystal-graph": (("out", "n", "N", "budget_bits"), _DIMS, ("json", "dot")),
+        "component": (("payload", "out", "n", "N", "budget_bits"), (), ("dot",)),
+        "orbit": (("word", "payload", "out", "n", "N", "budget_bits"), (), ("json",)),
+    },
+}
+
+
+def _check_options(args):
+    """Refuse an option the row does not read, require what it requires, resolve --format."""
+    rows = READS[args.command]
+    kinds = (args.kind, args.target) if args.command == "convert" and args.check else (args.kind,)
+    where = " ".join((args.command,) + kinds).rstrip()
+    reads = {option for kind in kinds for option in rows[kind][0]}
+    for option, (flag, _) in OPTIONS.items():
+        if getattr(args, option, None) is not None and option not in reads:
+            raise ValidationError(f"{flag} is not read by {where}")
+    for kind in kinds:
+        for option in rows[kind][1]:
+            if getattr(args, option) is None:
+                raise ValidationError(f"{OPTIONS[option][0]} is required for "
+                                      f"{args.command} {kind}".rstrip())
+    formats = rows[args.kind][2]
+    if args.format is None:
+        args.format = formats[0]
+    if args.format not in formats:
+        raise ValidationError(f"--format {args.format} is not available for {where}; "
+                              f"choose from {', '.join(formats)}")
 
 
 def build_parser():
@@ -312,57 +340,25 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def options(p, dims=True, budget=True, seed=False):
-        if dims:
-            p.add_argument("--n", type=int, default=None, help="height / rank n")
-            p.add_argument("--N", type=int, dest="N", default=None, help="tensor power N")
-        if budget:
-            p.add_argument("--budget-bits", type=int, default=None,
-                           help="scan budget, max nodes = 2^bits (0..24); env CACTUS_BUDGET_BITS")
-        p.add_argument("--format", default=None, help="json, table or dot, as the command allows")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed for the thm52 suite's draws")
-
-    p_enum = sub.add_parser("enumerate", help="enumerate delta/diagrams/tables/sssyt/gtp")
-    p_enum.add_argument("kind", choices=("delta", "diagrams", "tables", "sssyt", "gtp"))
-    p_enum.add_argument("--lambda", dest="lam", default=None,
-                        help="weight as doubled coordinates, e.g. 3,1,1,-1")
-    p_enum.add_argument("--nu", default=None, help="partition rows, e.g. 4,1")
-    options(p_enum, budget=False)
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_conv = sub.add_parser("convert", help="convert between table/sssyt/gtp records")
-    p_conv.add_argument("source", choices=("table", "sssyt", "gtp"))
-    p_conv.add_argument("target", choices=("table", "sssyt", "gtp"))
-    p_conv.add_argument("--payload", default=None, help="JSON record (default: stdin)")
-    p_conv.add_argument("--nu", default=None, help="shape rows, required for gtp input")
-    p_conv.add_argument("--check", action="store_true", help="re-invert and compare")
-    options(p_conv, budget=False)
-    p_conv.set_defaults(func=cmd_convert)
-
-    p_act = sub.add_parser("act", help="apply a cactus word to a table")
-    p_act.add_argument("--word", required=True, help='e.g. "s(1,3) s(2,4)", rightmost acts first')
-    p_act.add_argument("--payload", default=None, help="table JSON (default: stdin)")
-    p_act.add_argument("--as", dest="as_kind", choices=("table", "sssyt", "gtp"),
-                       default="table")
-    options(p_act, dims=False)
-    p_act.set_defaults(func=cmd_act)
-
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=sorted(suites.SUITES))
-    options(p_ver, seed=True)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_exp = sub.add_parser("export", help="export crystal graph, component, or orbit")
-    p_exp.add_argument("what", choices=("crystal-graph", "component", "orbit"))
-    p_exp.add_argument("--payload", default=None, help="table JSON for component/orbit")
-    p_exp.add_argument("--word", default=None, help="cactus word for orbit generators")
-    p_exp.add_argument("--out", default=None, help="output file (default: stdout)")
-    options(p_exp)
-    p_exp.set_defaults(func=cmd_export)
-
+    for command, func, text in (
+        ("enumerate", cmd_enumerate, "enumerate delta/diagrams/tables/sssyt/gtp"),
+        ("convert", cmd_convert, "convert between table/sssyt/gtp records"),
+        ("act", cmd_act, "apply a cactus word to a table"),
+        ("verify", cmd_verify, "run a verification suite"),
+        ("export", cmd_export, "export crystal graph, component, or orbit"),
+    ):
+        rows = READS[command]
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(func=func, kind="")  # act's one row has no positional kind
+        if command != "act":
+            p.add_argument("kind", choices=tuple(rows))
+        if command == "convert":
+            p.add_argument("target", choices=tuple(rows))
+        declared = {option for reads, _, _ in rows.values() for option in reads}
+        for option, (flag, kwargs) in OPTIONS.items():
+            if option in declared:
+                p.add_argument(flag, dest=option, default=None, **kwargs)
+        p.add_argument("--format", default=None, help="json, table or dot, as the kind allows")
     return parser
 
 
@@ -373,7 +369,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _resolve_format(args)
+        _check_options(args)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,11 +12,9 @@ The kernel is table-driven: each crystal precomputes, for every index i, the
 images of all 2^n factors under e_i and f_i and their eps_i, phi_i (0 or 1;
 every i-string of the basic crystal has length at most one). On a word, one
 pass over the factors (`_signature`) gives the free phi_i and eps_i factors of
-the equivalent signature rule: e_i and f_i move the first of them, and the
-scans read tops, bottoms and successors from it. eps_i, phi_i are folded from
-the pair rules eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)) and
-phi(a (x) b) = phi(a) + max(0, phi(b) - eps(a)) instead of by repeated
-application. The literal two-factor recursion stays in `suites` as the oracle
+the equivalent signature rule: e_i and f_i move the first of them, eps_i and
+phi_i count them, and the scans read tops, bottoms and successors from it.
+The literal two-factor recursion stays in `suites` as the oracle
 (`tensor_e_reference`, `tensor_f_reference`).
 
 The bijection between highest-weight words and regular cell tables reads the
@@ -203,28 +201,14 @@ class SpinCrystal:
         return self._move(i, w, False)
 
     def eps(self, i, w):
-        """Largest power of e_i that does not kill w, in one pass.
-
-        eps(a (x) b) = eps(b) + max(0, eps(a) - phi(b)), folded from the left.
-        """
+        """Largest power of e_i that does not kill w: the number of free eps factors."""
         self._check_index(i)
-        eps1, phi1 = self._eps1[i], self._phi1[i]
-        total = 0
-        for b in w:
-            total = eps1[b] + max(0, total - phi1[b])
-        return total
+        return len(self._signature(i, w)[1])
 
     def phi(self, i, w):
-        """Largest power of f_i that does not kill w, in one pass.
-
-        phi(a (x) b) = phi(a) + max(0, phi(b) - eps(a)), folded from the right.
-        """
+        """Largest power of f_i that does not kill w: the number of free phi factors."""
         self._check_index(i)
-        eps1, phi1 = self._eps1[i], self._phi1[i]
-        total = 0
-        for b in reversed(w):
-            total = phi1[b] + max(0, total - eps1[b])
-        return total
+        return len(self._signature(i, w)[0])
 
     def is_highest_weight(self, w):
         """No e_i moves w: read right to left, a pending phi factor cancels each

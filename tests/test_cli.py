@@ -6,6 +6,7 @@ import pytest
 
 from spincactus import suites
 from spincactus.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, VERIFY_OPTIONS, build_parser, main
+from spincactus.cli import OPTIONS, READS
 from spincactus.crystal import DEFAULT_BUDGET_BITS
 
 
@@ -349,6 +350,9 @@ MALFORMED = [
     ["verify", "crystal-axioms", "--seed", "5"],
     ["verify", "thm2", "--seed", "5"],
     ["verify", "thm51-signs", "--seed", "5"],
+    # a chain bound below 2 would check no table<->chain<->pattern round trip
+    ["verify", "bijections", "--n", "1"],
+    ["verify", "bijections", "--n", "0"],
 ]
 
 
@@ -369,6 +373,8 @@ def test_malformed_budget_env_is_usage_error(capsys, monkeypatch, raw):
 
 
 TWO_BY_TWO = '{"steps2": [[1, 1], [1, -1]]}'
+THREE_BY_TWO = '{"steps2": [[1, 1], [1, -1], [1, 1]]}'
+CHAIN = '{"chain": [[1], [2], [2, 1], [4, 1]], "n": 4}'
 
 # (argv, the flag the command refuses): options a command does not declare, options a
 # suite does not read, and dimensions that contradict the weight or the payload table
@@ -386,6 +392,29 @@ REFUSED = [
     (["export", "component", "--n", "7", "--N", "9", "--payload", TWO_BY_TWO], "--n"),
     (["export", "orbit", "--N", "3", "--payload", TWO_BY_TWO], "--N"),
     (["enumerate", "tables", "--lambda", "1,1", "--N", "3", "--n", "5"], "--n"),
+    # options a kind does not read: only some kinds of a command read them
+    (["enumerate", "delta", "--n", "2", "--N", "3", "--lambda", "1,1"], "--lambda"),
+    (["enumerate", "delta", "--n", "2", "--N", "3", "--nu", "4,1"], "--nu"),
+    (["enumerate", "diagrams", "--n", "2", "--N", "3", "--lambda", "1,1"], "--lambda"),
+    (["enumerate", "diagrams", "--n", "2", "--N", "3", "--nu", "4,1"], "--nu"),
+    (["enumerate", "tables", "--lambda", "1,1", "--N", "3", "--nu", "9,9"], "--nu"),
+    (["enumerate", "sssyt", "--nu", "4,1", "--N", "4", "--n", "4", "--lambda", "1,1"],
+     "--lambda"),
+    (["enumerate", "gtp", "--nu", "4,1", "--N", "4", "--n", "4", "--lambda", "1,1"], "--lambda"),
+    (["convert", "table", "gtp", "--payload", THREE_BY_TWO, "--nu", "3"], "--nu"),
+    (["convert", "table", "gtp", "--payload", THREE_BY_TWO, "--n", "7"], "--n"),
+    (["convert", "table", "gtp", "--payload", THREE_BY_TWO, "--N", "8"], "--N"),
+    (["convert", "table", "sssyt", "--payload", TWO_BY_TWO, "--nu", "4,1"], "--nu"),
+    (["convert", "table", "sssyt", "--payload", TWO_BY_TWO, "--n", "9"], "--n"),
+    (["convert", "table", "sssyt", "--payload", TWO_BY_TWO, "--check", "--N", "9"], "--N"),
+    (["convert", "sssyt", "table", "--payload", CHAIN, "--N", "4"], "--N"),
+    (["convert", "sssyt", "table", "--payload", CHAIN, "--nu", "4,1"], "--nu"),
+    (["export", "crystal-graph", "--n", "2", "--N", "2", "--payload", "{}"], "--payload"),
+    (["export", "crystal-graph", "--n", "2", "--N", "2", "--word", "garbage"], "--word"),
+    (["export", "component", "--payload", TWO_BY_TWO, "--word", "s(1,2)"], "--word"),
+    # an explicit --n must be the payload chain's n
+    (["convert", "sssyt", "table", "--n", "9", "--payload", CHAIN], "--n"),
+    (["convert", "table", "sssyt", "--check", "--n", "9", "--payload", THREE_BY_TWO], "--n"),
 ]
 
 
@@ -436,3 +465,66 @@ def test_verify_without_options_keeps_the_suite_defaults(capsys, monkeypatch):
         name: {"budget_bits": DEFAULT_BUDGET_BITS} if "budget_bits" in VERIFY_OPTIONS[name] else {}
         for name in suites.SUITES
     }
+
+
+PATTERN = '{"betas2": [[8, -2], [4]], "z": -2}'
+
+# a valid argv for each row that requires an option: its positionals, then flag -> value
+REQUIRING = {
+    ("enumerate", "delta"): (["enumerate", "delta"], {"--n": "2", "--N": "3"}),
+    ("enumerate", "diagrams"): (["enumerate", "diagrams"], {"--n": "2", "--N": "3"}),
+    ("enumerate", "tables"): (["enumerate", "tables"], {"--lambda": "1,1", "--N": "3"}),
+    ("enumerate", "sssyt"): (["enumerate", "sssyt"], {"--nu": "4,1", "--N": "4", "--n": "4"}),
+    ("enumerate", "gtp"): (["enumerate", "gtp"], {"--nu": "4,1", "--N": "4", "--n": "4"}),
+    ("convert", "gtp"): (["convert", "gtp", "table", "--payload", PATTERN],
+                         {"--nu": "4,1", "--N": "4", "--n": "4"}),
+    ("act", ""): (["act", "--payload", TWO_BY_TWO], {"--word": "s(1,2)"}),
+    ("export", "crystal-graph"): (["export", "crystal-graph"], {"--n": "2", "--N": "2"}),
+}
+
+
+def test_every_row_with_a_required_option_has_a_case():
+    rows = {(command, kind) for command, kinds in READS.items()
+            for kind, (_, required, _) in kinds.items() if required}
+    assert rows == set(REQUIRING)
+
+
+@pytest.mark.parametrize("row", sorted(REQUIRING), ids=lambda row: "-".join(filter(None, row)))
+def test_missing_required_option_exits_2_naming_it(capsys, monkeypatch, row):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    command, kind = row
+    head, options = REQUIRING[row]
+    assert run(capsys, *head, *(x for item in options.items() for x in item))[0] == EXIT_OK
+    for option in READS[command][kind][1]:
+        flag = OPTIONS[option][0]
+        rest = [x for item in options.items() if item[0] != flag for x in item]
+        code, out, err = run(capsys, *head, *rest)
+        assert code == EXIT_USAGE and out == ""
+        assert f"{flag} is required for {command} {kind}".rstrip() in err
+
+
+def test_convert_check_reads_the_target_row(capsys):
+    head = ["convert", "table", "gtp", "--payload", WORKED_TABLE]
+    code, out, err = run(capsys, *head, "--check")
+    assert code == EXIT_USAGE and out == ""
+    assert "--nu is required for convert gtp" in err
+    dims = ["--nu", "4,4,3,1", "--N", "7", "--n", "4"]
+    code, _, err = run(capsys, *head, *dims)
+    assert code == EXIT_USAGE and "--nu is not read by convert table" in err
+    code, out, _ = run(capsys, *head, *dims, "--check")
+    assert code == EXIT_OK and json.loads(out)["round_trip_ok"] is True
+
+
+def test_each_command_declares_the_union_of_its_rows():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(READS)
+    for name, sub in commands.choices.items():
+        rows = READS[name]
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        reads = {OPTIONS[option][0] for options, _, _ in rows.values() for option in options}
+        assert flags - {"-h", "--help"} == reads | {"--format"}, name
+        positionals = [action for action in sub._actions if not action.option_strings]
+        assert all(list(action.choices) == list(rows) for action in positionals), name
+        assert [action.dest for action in positionals[:1]] == (["kind"] if positionals else [])
+    assert list(READS["act"]) == [""]

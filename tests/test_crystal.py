@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -332,3 +333,15 @@ def test_components_hold_one_component_at_a_time():
         tracemalloc.stop()
     assert sum(comp.size for comp in comps) == 1 << 15
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eps_phi_match_repeated_reference_moves(n):
+    # the oracle moves by the two-factor recursion, so it shares no code with _signature
+    c = SpinCrystal(n)
+    up, down = partial(tensor_e_reference, c), partial(tensor_f_reference, c)
+    for big_n in range(1, 5):
+        for w in c.all_words(big_n):
+            for i in range(1, n + 1):
+                assert c.eps(i, w) == _repeated(up, i, w)
+                assert c.phi(i, w) == _repeated(down, i, w)

@@ -2,7 +2,7 @@ import pathlib
 import re
 import shlex
 
-from spincactus.cli import EXIT_OK, main
+from spincactus.cli import EXIT_OK, OPTIONS, READS, main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +28,27 @@ def test_command_line_examples_exit_zero(capsys, monkeypatch):
     for argv in commands:
         assert main(argv) == EXIT_OK, argv
         capsys.readouterr()
+
+
+def test_option_table_matches_the_cli():
+    """The README's option table is cli.READS: options read, required (bold), formats."""
+    option_of = {flag: option for option, (flag, _) in OPTIONS.items()}
+    table = {}
+    for line in README.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if not line.startswith("| `") or len(cells) != 4:
+            continue
+        command, kinds, options, formats = cells
+        reads = re.findall(r"(\*\*)?`(--[\w-]+)`", options)
+        row = (
+            {option_of[flag] for _, flag in reads},
+            {option_of[flag] for bold, flag in reads if bold},
+            tuple(re.findall(r"`(\w+)`", formats)),
+        )
+        for kind in re.findall(r"`([\w-]+)`", kinds) or [""]:
+            table.setdefault(command.strip("`"), {})[kind] = row
+    assert table == {
+        command: {kind: (set(reads), set(required), formats)
+                  for kind, (reads, required, formats) in rows.items()}
+        for command, rows in READS.items()
+    }
