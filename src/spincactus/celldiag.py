@@ -9,22 +9,19 @@ A regular cell table is a nested chain of diagrams of lengths 1..N, stored
 here as its step sequence: the spinor weights (mu_1, ..., mu_N) whose prefix
 sums walk through the chain. Every prefix sum must be dominant and the first
 step must be one of the two dominant spinor weights.
+
+Dominance, Delta and the spinor step are asked of `weights` on coordinate tuples:
+a diagram is regular when r - l is dominant; a table walks its running sums once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 from .errors import ValidationError
-from .weights import (
-    Weight,
-    as_int,
-    delta_membership,
-    is_dominant_d,
-    omega_minus,
-    omega_plus,
-    spinor_weights,
-)
+from .weights import Weight, as_int, delta_violation, is_dominant2, is_spinor2, spinor_weights
 
 
 @dataclass(frozen=True)
@@ -45,10 +42,8 @@ class CellDiagram:
             raise ValidationError("diagram length must be positive")
         if any(li + ri != big_n for li, ri in zip(self.l, self.r)):
             raise ValidationError(f"all rows must have total length {big_n}")
-        if any(self.r[i] < self.r[i + 1] for i in range(n - 1)):
-            raise ValidationError("right rows must be weakly decreasing")
-        if self.r[n - 2] < self.l[n - 1]:
-            raise ValidationError("need r_{n-1} >= l_n")
+        if not is_dominant2(tuple(ri - li for li, ri in zip(self.l, self.r))):
+            raise ValidationError("r - l must be dominant: r weakly decreasing, r_{n-1} >= l_n")
 
     @property
     def length(self):
@@ -68,8 +63,9 @@ class CellDiagram:
 
 def diagram_of_weight(w: Weight, big_n: int) -> CellDiagram:
     """The diagram with r_i = big_n/2 + w_i, defined exactly on member weights."""
-    if not delta_membership(w, big_n):
-        raise ValidationError(_delta_violation(w, big_n))
+    reason = delta_violation(w, big_n)
+    if reason is not None:
+        raise ValidationError(reason)
     r = tuple((big_n + c) // 2 for c in w.coords2)
     l = tuple(big_n - ri for ri in r)
     return CellDiagram(l, r)
@@ -78,17 +74,6 @@ def diagram_of_weight(w: Weight, big_n: int) -> CellDiagram:
 def weight_of_diagram(d: CellDiagram) -> Weight:
     """Inverse of diagram_of_weight: w_i = (r_i - l_i)/2."""
     return Weight(tuple(ri - li for li, ri in zip(d.l, d.r)))
-
-
-def _delta_violation(w, big_n):
-    if not is_dominant_d(w):
-        return f"{w} is not dominant"
-    for c in w.coords2:
-        if not -big_n <= c <= big_n:
-            return f"coordinate {c}/2 of {w} is outside [-{big_n}/2, {big_n}/2]"
-        if (c + big_n) % 2:
-            return f"coordinate {c}/2 of {w} has the wrong parity for length {big_n}"
-    raise AssertionError("weight is a member")  # pragma: no cover
 
 
 def enumerate_delta(n: int, big_n: int) -> list[Weight]:
@@ -101,9 +86,8 @@ def enumerate_delta(n: int, big_n: int) -> list[Weight]:
 
     def extend(prefix):
         i = len(prefix)
-        if i == n:
-            if prefix[-2] >= abs(prefix[-1]):
-                out.append(Weight(tuple(prefix)))
+        if i == n:  # the bounds below keep every prefix dominant
+            out.append(Weight(tuple(prefix)))
             return
         top = big_n if i == 0 else prefix[-1]
         lo = -big_n
@@ -126,8 +110,9 @@ def contains(d1: CellDiagram, d2: CellDiagram) -> bool:
     )
 
 
-def _is_spinor_step(w: Weight) -> bool:
-    return all(c in (1, -1) for c in w.coords2)
+def _running_sums(steps):
+    """The doubled prefix sums mu_1 + ... + mu_k of a step sequence, k = 1..N."""
+    return accumulate((mu.coords2 for mu in steps), lambda total, c: tuple(map(add, total, c)))
 
 
 @dataclass(frozen=True)
@@ -144,14 +129,12 @@ class CellTable:
         for k, mu in enumerate(self.steps, 1):
             if mu.rank != n:
                 raise ValidationError("all steps must share one rank")
-            if not _is_spinor_step(mu):
+            if not is_spinor2(mu.coords2):
                 raise ValidationError(f"step {k} is not a spinor weight: {mu}")
-        if self.steps[0] not in (omega_plus(n), omega_minus(n)):
+        if not is_dominant2(self.steps[0].coords2):
             raise ValidationError(f"first step must be one of the two dominant spinor weights, got {self.steps[0]}")
-        total = [0] * n
-        for k, mu in enumerate(self.steps, 1):
-            total = [a + b for a, b in zip(total, mu.coords2)]
-            if not is_dominant_d(Weight(tuple(total))):
+        for k, total in enumerate(_running_sums(self.steps), 1):
+            if not is_dominant2(total):
                 raise ValidationError(f"prefix sum at position {k} is not dominant")
 
     @property
@@ -163,22 +146,17 @@ class CellTable:
         return self.steps[0].rank
 
     def weight(self) -> Weight:
-        total = [0] * self.height
-        for mu in self.steps:
-            total = [a + b for a, b in zip(total, mu.coords2)]
-        return Weight(tuple(total))
+        return Weight(tuple(map(sum, zip(*(mu.coords2 for mu in self.steps)))))
 
     def shape(self) -> CellDiagram:
         return diagram_of_weight(self.weight(), self.length)
 
     def diagram_chain(self) -> list[CellDiagram]:
         """The nested diagrams of the prefix sums, lengths 1..N."""
-        chain = []
-        total = [0] * self.height
-        for k, mu in enumerate(self.steps, 1):
-            total = [a + b for a, b in zip(total, mu.coords2)]
-            chain.append(diagram_of_weight(Weight(tuple(total)), k))
-        return chain
+        return [
+            diagram_of_weight(Weight(total), k)
+            for k, total in enumerate(_running_sums(self.steps), 1)
+        ]
 
     def prefix(self, k: int) -> "CellTable":
         return CellTable(self.steps[:k])
@@ -200,32 +178,31 @@ def table_from_steps(steps) -> CellTable:
 
 
 def steps_from_diagram_chain(chain) -> CellTable:
-    """Recover the step sequence from a nested diagram chain of lengths 1..N."""
+    """Recover the step sequence from a nested diagram chain of lengths 1..N. Each row
+    gains one box, so entry k contains entry k - 1 iff every step coordinate is +-1."""
     chain = list(chain)
     if not chain:
         raise ValidationError("empty chain")
-    prev_l = prev_r = (0,) * chain[0].height
+    n = chain[0].height
+    prev_l = prev_r = (0,) * n
     steps = []
     for k, d in enumerate(chain, 1):
         if d.length != k:
             raise ValidationError(f"chain entry {k} has length {d.length}, expected {k}")
-        if k > 1 and not contains(d, chain[k - 2]):
-            raise ValidationError(f"chain entry {k} does not contain entry {k - 1}")
-        mu = tuple(
-            (d.r[i] - prev_r[i]) - (d.l[i] - prev_l[i]) for i in range(d.height)
-        )
-        steps.append(Weight(mu))
+        if d.height != n:
+            raise ValidationError("diagrams must have equal heights")
+        steps.append(Weight(tuple(
+            (r - pr) - (l - pl) for l, r, pl, pr in zip(d.l, d.r, prev_l, prev_r))))
         prev_l, prev_r = d.l, d.r
     return table_from_steps(steps)
 
 
 def enumerate_tables(shape: CellDiagram) -> list[CellTable]:
     """All tables of the given shape, generated in descending lex order on flattened steps."""
-    n = shape.height
-    big_n = shape.length
+    n, big_n = shape.height, shape.length
     target = weight_of_diagram(shape).coords2
     steps_pool = spinor_weights(n)
-    first_pool = (omega_plus(n), omega_minus(n))
+    first_pool = [mu for mu in steps_pool if is_dominant2(mu.coords2)]
     out = []
 
     def reachable(total, k):
@@ -234,17 +211,14 @@ def enumerate_tables(shape: CellDiagram) -> list[CellTable]:
 
     def extend(prefix_steps, total, k):
         if k == big_n:
-            if tuple(total) == target:
+            if total == target:
                 out.append(CellTable(tuple(prefix_steps)))
             return
         pool = first_pool if k == 0 else steps_pool
         for mu in pool:
-            new_total = [a + b for a, b in zip(total, mu.coords2)]
-            if not is_dominant_d(Weight(tuple(new_total))):
-                continue
-            if not reachable(new_total, k + 1):
-                continue
-            extend(prefix_steps + [mu], new_total, k + 1)
+            new_total = tuple(map(add, total, mu.coords2))
+            if is_dominant2(new_total) and reachable(new_total, k + 1):
+                extend(prefix_steps + [mu], new_total, k + 1)
 
-    extend([], [0] * n, 0)
+    extend([], (0,) * n, 0)
     return out

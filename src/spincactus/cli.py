@@ -155,8 +155,8 @@ def cmd_act(args):
     data = _load_payload(args)
     table = _decode(celldiag.CellTable.from_json, data)
     gens = cactus.parse_cactus_word(args.word)
-    spin = crystal.SpinCrystal(table.height)
-    cache = cactus.XiCache(spin, _budget_bits(args))
+    budget = _budget_bits(args)
+    cache = cactus.XiCache(_spin_crystal(table.height, table.height, budget), budget)
     moved = cactus.act_on_table(cache, gens, table)
     record = moved.to_json()
     if args.as_kind == "sssyt":
@@ -173,20 +173,19 @@ def cmd_act(args):
     return EXIT_OK
 
 
-def _rank(top):
-    if top < 2:
-        raise ValidationError("--n must be at least 2")
-    return top
+def _at_least(flag, low):
+    def check(top):
+        if top < low:
+            raise ValidationError(f"{flag} must be at least {low}")
+        return top
+    return check
+
+
+_rank, _power, _chain_length = _at_least("--n", 2), _at_least("--N", 1), _at_least("--N", 3)
 
 
 def _ranks(top):
     return tuple(range(2, _rank(top) + 1))
-
-
-def _power(top):
-    if top < 1:
-        raise ValidationError("--N must be at least 1")
-    return top
 
 
 # option -> (suite parameter, conversion; int keeps the value) for each option a suite
@@ -202,7 +201,7 @@ VERIFY_OPTIONS = {
     "thm52": {"n": _N_VALUES, "N": _BIG_N_MAX, "seed": ("seed", int)},
     "thm51-signs": {"n": _N_VALUES},
     "bijections": {"n": ("chain_n_max", _rank),
-                   "N": ("chain_big_ns", lambda top: tuple(range(3, max(3, _power(top)) + 1)))},
+                   "N": ("chain_big_ns", lambda top: tuple(range(3, _chain_length(top) + 1)))},
 }
 
 
@@ -228,10 +227,17 @@ def _payload_table(args):
     return table
 
 
+def _spin_crystal(n, needed_bits, budget):
+    """SpinCrystal(n) (4*n*2^n table entries) once 2^needed_bits fit; it refuses n < 2 itself."""
+    if n >= 2 and needed_bits > budget:
+        raise BudgetExceededError(needed_bits, budget)
+    return crystal.SpinCrystal(n)
+
+
 def cmd_export(args):
     budget = _budget_bits(args)
     if args.kind == "crystal-graph":
-        spin = crystal.SpinCrystal(args.n)
+        spin = _spin_crystal(args.n, args.n * args.N, budget)
         if args.format == "json":
             out = json.dumps(
                 {"schema": SCHEMA, "census": crystal.census_json(spin, args.N, budget)},
@@ -242,13 +248,13 @@ def cmd_export(args):
             out = crystal.crystal_dot(spin, args.N, budget)
     elif args.kind == "component":
         table = _payload_table(args)
-        spin = crystal.SpinCrystal(table.height)
+        spin = _spin_crystal(table.height, table.height, budget)
         _, members = spin.component_members(spin.table_to_word(table), budget)
         out = crystal.crystal_dot(spin, table.length, budget, words=members)
     else:  # orbit
         table = _payload_table(args)
-        spin = crystal.SpinCrystal(table.height)
         gens = cactus.parse_cactus_word(args.word or "")
+        spin = _spin_crystal(table.height, table.height, budget)
         cache = cactus.XiCache(spin, budget)
         tables = cactus.orbit(cache, table, gens, budget)
         out = json.dumps(

@@ -23,7 +23,8 @@ highest-weight word is the one forced into a dominant spinor weight, so the
 branching sequence of the component is the reversed factor sequence.
 
 Every scan is bounded by 2^budget_bits nodes: `node_limit` is the one check
-of budget_bits, and `closure` the one bounded depth-first walk.
+of budget_bits, and `closure` the one bounded depth-first walk. The crystal's
+own tables hold 2^n entries per index; the CLI charges n bits before it builds one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import product
 
 from .celldiag import CellTable, table_from_steps
 from .errors import BudgetExceededError, ValidationError
-from .weights import Weight, as_int
+from .weights import Weight, as_int, is_spinor2
 
 DEFAULT_BUDGET_BITS = 20
 MAX_BUDGET_BITS = 24
@@ -129,7 +130,7 @@ class SpinCrystal:
         return Weight(tuple(1 if (b >> j) & 1 else -1 for j in range(self.n)))
 
     def element_of_weight(self, w: Weight):
-        if w.rank != self.n or any(c not in (1, -1) for c in w.coords2):
+        if w.rank != self.n or not is_spinor2(w.coords2):
             raise ValidationError(f"{w} is not a spinor weight of rank {self.n}")
         mask = 0
         for j, c in enumerate(w.coords2):

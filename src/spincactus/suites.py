@@ -369,9 +369,9 @@ def suite_thm2(n_values=(2, 3), big_n_max=3, budget_bits=DEFAULT_BUDGET_BITS):
         crystal = SpinCrystal(n)
         for big_n in range(1, big_n_max + 1):
             bad = 0
-            for comp in crystal.components(big_n, budget_bits):
-                actual = crystal.decompose_component_tensor(comp.hw_word, budget_bits)
-                if actual != predicted_tensor_weights(comp.weight):
+            for hw in crystal.highest_weight_words(big_n, budget_bits):
+                actual = crystal.decompose_component_tensor(hw, budget_bits)
+                if actual != predicted_tensor_weights(crystal.word_weight(hw)):
                     bad += 1
             _check(checks, f"tensor decomposition n={n} N={big_n}", bad == 0,
                    f"{bad} components disagree" if bad else "")

@@ -3,6 +3,9 @@
 All weights live in (1/2)Z^n and are stored as doubled integers, so every
 computation in the package is exact. A weight (3/2, 1/2, 1/2, -1/2) is the
 coordinate tuple ``coords2 = (3, 1, 1, -1)``.
+
+Each weight rule is stated once here, on coordinate tuples where it can be:
+dominance (``is_dominant2``), the spinor step (``is_spinor2``), Delta (``delta_violation``).
 """
 
 from __future__ import annotations
@@ -85,15 +88,8 @@ class OrthWeight:
             )
 
     def is_dominant(self):
-        # even rank allows a negative last coordinate; odd rank does not
-        c = self.coords2
-        if not c:
-            return True
-        if not all(c[i] >= c[i + 1] for i in range(len(c) - 1)):
-            return False
-        if self.k % 2 == 0:
-            return len(c) < 2 or c[-2] >= abs(c[-1])
-        return c[-1] >= 0
+        # even rank allows a negative last coordinate; at odd rank a trailing 0 forbids it
+        return is_dominant2(self.coords2 if self.k % 2 == 0 else self.coords2 + (0,))
 
     def validate(self):
         if not self.is_dominant():
@@ -104,10 +100,22 @@ class OrthWeight:
         return list(self.coords2)
 
 
+def is_dominant2(c) -> bool:
+    """True iff c1 >= c2 >= ... >= c_{n-1} >= |c_n| on a coordinate tuple (type-D dominance)."""
+    for i in range(len(c) - 2):
+        if c[i] < c[i + 1]:
+            return False
+    return len(c) < 2 or c[-2] >= abs(c[-1])
+
+
 def is_dominant_d(w: Weight) -> bool:
-    """True iff w1 >= w2 >= ... >= w_{n-1} >= |w_n| (type-D dominance)."""
-    c = w.coords2
-    return all(c[i] >= c[i + 1] for i in range(len(c) - 2)) and c[-2] >= abs(c[-1])
+    """Type-D dominance of a weight."""
+    return is_dominant2(w.coords2)
+
+
+def is_spinor2(c) -> bool:
+    """True iff every doubled coordinate is +-1: a weight of the basic spin crystal."""
+    return all(x == 1 or x == -1 for x in c)
 
 
 def spinor_weights(n: int) -> tuple[Weight, ...]:
@@ -125,16 +133,26 @@ def omega_minus(n: int) -> Weight:
     return Weight((1,) * (n - 1) + (-1,))
 
 
-def delta_membership(w: Weight, big_n: int) -> bool:
-    """True iff w is a highest weight occurring in the big_n-th spinor tensor power.
+def delta_violation(w: Weight, big_n: int):
+    """Why w is not a highest weight of the big_n-th spinor tensor power; None if it is one.
 
     The three conditions: dominance, |w_i| <= big_n/2, and 2*w_i + big_n even.
     """
     if big_n < 1:
         raise ValidationError(f"tensor power must be positive, got {big_n}")
     if not is_dominant_d(w):
-        return False
-    return all(-big_n <= c <= big_n and (c + big_n) % 2 == 0 for c in w.coords2)
+        return f"{w} is not dominant"
+    for c in w.coords2:
+        if not -big_n <= c <= big_n:
+            return f"coordinate {c}/2 of {w} is outside [-{big_n}/2, {big_n}/2]"
+        if (c + big_n) % 2:
+            return f"coordinate {c}/2 of {w} has the wrong parity for length {big_n}"
+    return None
+
+
+def delta_membership(w: Weight, big_n: int) -> bool:
+    """True iff w is a highest weight occurring in the big_n-th spinor tensor power."""
+    return delta_violation(w, big_n) is None
 
 
 def w0_image(w: Weight) -> Weight:

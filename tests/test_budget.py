@@ -1,8 +1,11 @@
 """The node budget: one check of budget_bits and one bounded closure for every scan."""
 
+import json
+
 import pytest
 
 from spincactus.cactus import XiCache, orbit, parse_cactus_word
+from spincactus.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from spincactus.celldiag import diagram_of_weight, enumerate_delta, enumerate_tables
 from spincactus.crystal import SpinCrystal, closure, crystal_dot, node_limit
 from spincactus.errors import BudgetExceededError, ValidationError
@@ -112,3 +115,55 @@ def test_crystal_axioms_charges_its_largest_scan(n_values, big_n, needed):
         suite_crystal_axioms(n_values, big_n, needed - 1)
     assert (info.value.needed_bits, info.value.budget_bits) == (needed, needed - 1)
     assert suite_crystal_axioms(n_values, min(big_n, 2), needed)["pass"]
+
+
+def one_step(height):
+    return json.dumps({"steps2": [[1] * height]})
+
+
+# commands whose crystal's rank (height bits, or n*N for the whole graph) exceeds the budget
+PAST_THE_BUDGET = [
+    ["act", "--word", "", "--budget-bits", "4", "--payload", one_step(16)],
+    ["act", "--word", "", "--payload", one_step(21)],
+    ["export", "component", "--budget-bits", "4", "--payload", one_step(16)],
+    ["export", "orbit", "--budget-bits", "4", "--payload", one_step(16)],
+    ["export", "crystal-graph", "--n", "16", "--N", "1", "--budget-bits", "4"],
+    ["export", "crystal-graph", "--n", "3", "--N", "4", "--budget-bits", "11"],
+]
+
+
+@pytest.mark.parametrize("argv", PAST_THE_BUDGET)
+def test_cli_charges_the_crystal_rank_before_building_it(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    built = []
+
+    def refuse(self, n):
+        built.append(n)
+        raise AssertionError("crystal built past the budget")
+
+    monkeypatch.setattr(SpinCrystal, "__init__", refuse)
+    assert main(argv) == EXIT_BUDGET
+    assert built == []
+    assert capsys.readouterr().err.startswith("error: scan needs about 2^")
+
+
+@pytest.mark.parametrize("argv, code, rank", [
+    (["act", "--word", "s(1,2)", "--budget-bits", "3", "--payload", '{"steps2": [[1, 1, 1], [1, -1, -1]]}'],
+     EXIT_OK, 3),
+    (["export", "orbit", "--budget-bits", "2", "--payload", '{"steps2": [[1, 1], [1, -1]]}'], EXIT_OK, 2),
+    (["export", "crystal-graph", "--n", "2", "--N", "2", "--budget-bits", "4"], EXIT_OK, 2),
+    # a rank below 2 is refused as invalid, not as too big
+    (["export", "crystal-graph", "--n", "1", "--N", "30"], EXIT_USAGE, 1),
+])
+def test_cli_builds_the_crystal_within_the_budget(capsys, monkeypatch, argv, code, rank):
+    built = []
+    init = SpinCrystal.__init__
+
+    def record(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(SpinCrystal, "__init__", record)
+    assert main(argv) == code
+    assert built == [rank]
+    capsys.readouterr()

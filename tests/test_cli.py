@@ -353,6 +353,9 @@ MALFORMED = [
     # a chain bound below 2 would check no table<->chain<->pattern round trip
     ["verify", "bijections", "--n", "1"],
     ["verify", "bijections", "--n", "0"],
+    # round trips start at length 3; a smaller --N is not raised to 3
+    ["verify", "bijections", "--N", "2"],
+    ["verify", "bijections", "--N", "1"],
 ]
 
 
@@ -528,3 +531,19 @@ def test_each_command_declares_the_union_of_its_rows():
         assert all(list(action.choices) == list(rows) for action in positionals), name
         assert [action.dest for action in positionals[:1]] == (["kind"] if positionals else [])
     assert list(READS["act"]) == [""]
+
+
+@pytest.mark.parametrize("big_n", ["2", "1"])
+def test_bijections_refuses_lengths_below_three(capsys, big_n):
+    code, out, err = run(capsys, "verify", "bijections", "--N", big_n)
+    assert code == EXIT_USAGE and out == ""
+    assert "--N must be at least 3" in err
+
+
+def test_bijections_reads_lengths_from_three(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setitem(suites.SUITES, "bijections",
+                        lambda **kwargs: seen.append(kwargs) or {"pass": True})
+    assert run(capsys, "verify", "bijections", "--N", "3")[0] == EXIT_OK
+    assert run(capsys, "verify", "bijections", "--N", "5")[0] == EXIT_OK
+    assert seen == [{"chain_big_ns": (3,)}, {"chain_big_ns": (3, 4, 5)}]
