@@ -12,6 +12,9 @@ step must be one of the two dominant spinor weights.
 
 Dominance, Delta and the spinor step are asked of `weights` on coordinate tuples:
 a diagram is regular when r - l is dominant; a table walks its running sums once.
+Records are validated where they enter (the constructors, from_json, diagram_of_weight,
+steps_from_diagram_chain); enumerate_tables, whose every prefix is already checked,
+builds its tables through weights.trusted without re-validating them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from itertools import accumulate
 from operator import add
 
 from .errors import ValidationError
-from .weights import Weight, as_int, delta_violation, is_dominant2, is_spinor2, spinor_weights
+from .weights import (Weight, as_int, delta_violation, is_dominant2, is_spinor2, spinor_weights,
+                      trusted)
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ class CellTable:
         return self.steps[0].rank
 
     def weight(self) -> Weight:
-        return Weight(tuple(map(sum, zip(*(mu.coords2 for mu in self.steps)))))
+        return trusted(Weight, tuple(map(sum, zip(*(mu.coords2 for mu in self.steps)))))
 
     def shape(self) -> CellDiagram:
         return diagram_of_weight(self.weight(), self.length)
@@ -212,7 +216,7 @@ def enumerate_tables(shape: CellDiagram) -> list[CellTable]:
     def extend(prefix_steps, total, k):
         if k == big_n:
             if total == target:
-                out.append(CellTable(tuple(prefix_steps)))
+                out.append(trusted(CellTable, tuple(prefix_steps)))
             return
         pool = first_pool if k == 0 else steps_pool
         for mu in pool:

@@ -237,7 +237,7 @@ def _spin_crystal(n, needed_bits, budget):
 def cmd_export(args):
     budget = _budget_bits(args)
     if args.kind == "crystal-graph":
-        spin = _spin_crystal(args.n, args.n * args.N, budget)
+        spin = _spin_crystal(args.n, args.n * _power(args.N), budget)
         if args.format == "json":
             out = json.dumps(
                 {"schema": SCHEMA, "census": crystal.census_json(spin, args.N, budget)},

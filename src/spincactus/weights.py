@@ -26,6 +26,14 @@ def as_int(x):
     return x
 
 
+def trusted(cls, *values):
+    """A frozen record of cls from field values its producer guarantees valid, without
+    running __post_init__. Internal: the public constructors and from_json validate."""
+    record = object.__new__(cls)
+    record.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    return record
+
+
 @dataclass(frozen=True)
 class Weight:
     """A weight of o_{2n}, coordinates doubled to keep half-integers exact."""

@@ -5,6 +5,11 @@ lengths sum to at most N and with at most n columns; these index the
 irreducible representations of the rank-N orthogonal group that occur here.
 The three indexing sets (cell tables, short Young tables, GT patterns) are
 connected by the bijections y_map and j_map below.
+
+Records are validated where they enter: the constructors, from_json, f_map, y_map and
+j_map. What this module derives from checked values (the enumerators, branch_syd,
+associated, f_inverse, syd_to_orthweight, _level_options, j_inverse's chain) is built
+through weights.trusted; j_inverse still compares its chain's j_map image with p.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from itertools import product
 
 from .celldiag import CellDiagram, CellTable, diagram_of_weight, steps_from_diagram_chain
 from .errors import ValidationError
-from .weights import OrthWeight, Weight, as_int
+from .weights import OrthWeight, as_int, trusted
 
 
 @dataclass(frozen=True)
@@ -36,9 +41,9 @@ class ShortYoungDiagram:
             raise ValidationError("rows must be weakly decreasing")
         if rows and rows[0] > self.n:
             raise ValidationError(f"at most {self.n} columns allowed, got {rows[0]}")
-        if self.col(1) + self.col(2) > self.N:
+        if not _fits(rows, self.N):
             raise ValidationError(
-                f"first two columns sum to {self.col(1) + self.col(2)} > {self.N}"
+                f"first two columns sum to {len(rows) + self.col(2)} > {self.N}"
             )
 
     def col(self, j):
@@ -46,7 +51,7 @@ class ShortYoungDiagram:
         return sum(1 for x in self.rows if x >= j)
 
     def columns(self):
-        return tuple(self.col(j) for j in range(1, self.rows[0] + 1)) if self.rows else ()
+        return _rows_from_columns(self.rows)
 
     def size(self):
         return sum(self.rows)
@@ -71,11 +76,14 @@ class ShortYoungDiagram:
         return cls(tuple(data["rows"]), as_int(data["N"]), as_int(data["n"]))
 
 
+def _fits(rows, big_n):
+    """The short-diagram rule on a partition: its first two columns sum to at most big_n."""
+    return len(rows) + sum(x > 1 for x in rows) <= big_n
+
+
 def _rows_from_columns(cols):
-    cols = [c for c in cols if c > 0]
-    if not cols:
-        return ()
-    return tuple(sum(1 for c in cols if c >= j) for j in range(1, max(cols) + 1))
+    """The conjugate partition: entry j counts the columns of length >= j."""
+    return tuple(sum(1 for c in cols if c >= j) for j in range(1, max(cols, default=0) + 1))
 
 
 def f_map(d: CellDiagram) -> ShortYoungDiagram:
@@ -92,37 +100,38 @@ def f_map(d: CellDiagram) -> ShortYoungDiagram:
 
 
 def f_inverse(v: ShortYoungDiagram) -> CellDiagram:
-    """The unique cell diagram mapping to v."""
-    n, big_n = v.n, v.N
-    ct = [v.col(j) for j in range(1, n + 1)]
-    coords2 = [big_n - 2 * ct[n - i] for i in range(1, n + 1)]
-    if n % 2 == 1:
-        coords2[n - 1] = 2 * ct[0] - big_n
-    return diagram_of_weight(Weight(tuple(coords2)), big_n)
+    """The unique cell diagram mapping to v: l = (c_n, ..., c_1) on the columns c, with
+    l_n = N - c_1 at odd n. It is regular exactly because c_1 + c_2 <= N."""
+    if v.N < 1:
+        raise ValidationError(f"tensor power must be positive, got {v.N}")
+    cols = v.columns()
+    l = list(reversed(cols + (0,) * (v.n - len(cols))))
+    if v.n % 2:
+        l[-1] = v.N - l[-1]
+    return trusted(CellDiagram, tuple(l), tuple(v.N - x for x in l))
 
 
 def associated(v: ShortYoungDiagram) -> ShortYoungDiagram:
     """Replace the first column by N minus itself; an involution on SYD(N, n)."""
-    cols = list(v.columns()) or [0]
-    cols[0] = v.N - cols[0]
-    return ShortYoungDiagram(_rows_from_columns(cols), v.N, v.n)
+    wide = tuple(x for x in v.rows if x > 1)  # the c_2 rows past the first column stay
+    return trusted(ShortYoungDiagram, wide + (1,) * (v.N - len(v.rows) - len(wide)), v.N, v.n)
 
 
 def is_self_associated(v: ShortYoungDiagram) -> bool:
-    return 2 * v.col(1) == v.N
+    return 2 * len(v.rows) == v.N
 
 
 def shorter(v: ShortYoungDiagram) -> ShortYoungDiagram:
     """The shorter of v and its associate (v itself when its first column is <= N/2)."""
-    return v if 2 * v.col(1) <= v.N else associated(v)
+    return v if 2 * len(v.rows) <= v.N else associated(v)
 
 
 def syd_to_orthweight(v: ShortYoungDiagram, k: int, sign: int = 1) -> OrthWeight:
     """Rows of v as an o_k weight, zero padded; sign -1 negates the last coordinate."""
     d = k // 2
-    if v.col(1) > d:
+    if len(v.rows) > d:
         raise ValidationError(
-            f"first column {v.col(1)} exceeds {k}/2; pass the shorter diagram"
+            f"first column {len(v.rows)} exceeds {k}/2; pass the shorter diagram"
         )
     coords = list(v.rows) + [0] * (d - len(v.rows))
     if sign == -1:
@@ -133,7 +142,9 @@ def syd_to_orthweight(v: ShortYoungDiagram, k: int, sign: int = 1) -> OrthWeight
         coords[-1] = -coords[-1]
     elif sign != 1:
         raise ValidationError("sign must be +1 or -1")
-    return OrthWeight(tuple(2 * c for c in coords), k)
+    if k < 1:  # reached only by an empty v at k = 0
+        raise ValidationError(f"ambient rank must be positive, got {k}")
+    return trusted(OrthWeight, tuple(2 * c for c in coords), k)
 
 
 def _child_ranges(beta: OrthWeight) -> list[tuple[int, int]]:
@@ -165,13 +176,12 @@ def branch_syd(v: ShortYoungDiagram) -> list[ShortYoungDiagram]:
     """All members of SYD(N-1, n) under v by a horizontal strip, generated in descending lex."""
     if v.N < 1:
         raise ValidationError("cannot branch below height 0")
-    rows = v.rows
     out = []
-    for cand in product(*(range(hi, lo - 1, -1) for hi, lo in zip(rows, rows[1:] + (0,)))):
-        try:
-            out.append(ShortYoungDiagram(tuple(x for x in cand if x > 0), v.N - 1, v.n))
-        except ValidationError:
-            pass
+    for cand in product(*(range(hi, lo - 1, -1) for hi, lo in zip(v.rows, v.rows[1:] + (0,)))):
+        # interlacing under v keeps rows decreasing and within n; only c_1 + c_2 can fail
+        rows = tuple(x for x in cand if x > 0)
+        if _fits(rows, v.N - 1):
+            out.append(trusted(ShortYoungDiagram, rows, v.N - 1, v.n))
     return out
 
 
@@ -223,10 +233,12 @@ class SSYTable:
 
 def enumerate_sssyt(v: ShortYoungDiagram) -> list[SSYTable]:
     """All semi-standard short Young tables of shape v, descending lex order."""
+    if v.N < 1:  # a chain starts at height 1
+        raise ValidationError(f"chain entry 1 has ambient height {v.N}, expected 1")
     chains = [[v]]
     for _ in range(v.N - 1):
         chains = [[rho] + c for c in chains for rho in branch_syd(c[0])]
-    out = [SSYTable(tuple(c)) for c in chains]
+    out = [trusted(SSYTable, tuple(c)) for c in chains]
     out.sort(key=lambda s: tuple(x.rows for x in s.chain), reverse=True)
     return out
 
@@ -236,7 +248,7 @@ def count_sssyt(v: ShortYoungDiagram) -> int:
     for big_n in range(v.N, 1, -1):
         next_counts = {}
         for rows, c in counts.items():
-            for rho in branch_syd(ShortYoungDiagram(rows, big_n, v.n)):
+            for rho in branch_syd(trusted(ShortYoungDiagram, rows, big_n, v.n)):
                 next_counts[rho.rows] = next_counts.get(rho.rows, 0) + c
         counts = next_counts
     return sum(counts.values())
@@ -339,12 +351,9 @@ def _level_options(p: GTPattern, k: int, n: int) -> list[ShortYoungDiagram]:
         candidates = [(abs(p.z),)] if p.z else [(), (1, 1)]
     else:
         candidates = [(1,)] if p.z < 0 else [(), (1,)]
-    options = []
-    for rows in candidates:
-        try:
-            options.append(ShortYoungDiagram(rows, k, n))
-        except ValidationError:
-            pass
+    # every candidate is a partition; only the width and c_1 + c_2 <= k can fail
+    options = [trusted(ShortYoungDiagram, rows, k, n) for rows in candidates
+               if (not rows or rows[0] <= n) and _fits(rows, k)]
     if k >= 3 and options:
         options.append(associated(options[0]))
     return options
@@ -378,7 +387,7 @@ def j_inverse(p: GTPattern, v: ShortYoungDiagram) -> SSYTable:
                 break
         else:
             raise ValidationError("pattern is not in the image of the chain bijection")
-    s = SSYTable(tuple(reversed(chain)))
+    s = trusted(SSYTable, tuple(reversed(chain)))  # every strip was checked above
     if j_map(s) != p:
         raise ValidationError("pattern is not in the image of the chain bijection")
     return s
@@ -388,7 +397,7 @@ def _interlacing_children(beta: OrthWeight):
     """All rows of the next rank down that interlace beta, descending lex, each
     coordinate stepping down by 2 from its upper bound (so of beta's parity)."""
     ranges = (range(hi, lo - 1, -2) for lo, hi in _child_ranges(beta))
-    return [OrthWeight(row, beta.k - 1) for row in product(*ranges)]
+    return [trusted(OrthWeight, row, beta.k - 1) for row in product(*ranges)]
 
 
 def enumerate_gtp(v: ShortYoungDiagram) -> list[GTPattern]:
@@ -411,5 +420,5 @@ def enumerate_gtp(v: ShortYoungDiagram) -> list[GTPattern]:
     for chain in stacks:
         top3 = chain[-1].coords2[0] // 2
         for z in range(top3, -top3 - 1, -1):
-            out.append(GTPattern(tuple(chain), z))
+            out.append(trusted(GTPattern, tuple(chain), z))
     return out

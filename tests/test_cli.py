@@ -356,6 +356,11 @@ MALFORMED = [
     # round trips start at length 3; a smaller --N is not raised to 3
     ["verify", "bijections", "--N", "2"],
     ["verify", "bijections", "--N", "1"],
+    # a tensor power below 1 has no crystal graph; -1 used to end in a traceback
+    ["export", "crystal-graph", "--n", "2", "--N", "-1"],
+    ["export", "crystal-graph", "--n", "2", "--N", "0"],
+    # a chain of a height-0 shape would have no entry at height 1
+    ["enumerate", "sssyt", "--nu", "0", "--N", "0", "--n", "2"],
 ]
 
 
