@@ -60,7 +60,10 @@ def _emit(args, payload, text_lines):
 
 
 def _load_payload(args):
-    return json.loads(args.payload if args.payload is not None else sys.stdin.read())
+    try:
+        return json.loads(args.payload if args.payload is not None else sys.stdin.read())
+    except RecursionError as exc:
+        raise ValidationError("the payload nests too deeply") from exc
 
 
 def cmd_enumerate(args):
@@ -196,7 +199,9 @@ VERIFY_OPTIONS = {
     "crystal-axioms": {"n": _N_VALUES, "N": _BIG_N_MAX, "budget_bits": _BUDGET_BITS},
     "census": {"n": _N_VALUES, "N": _BIG_N_MAX, "budget_bits": _BUDGET_BITS},
     "commutor": {"n": _N_VALUES, "N": _BIG_N_MAX, "budget_bits": _BUDGET_BITS},
-    "cactus-relations": {"n": ("n", int), "N": ("big_n", _power), "budget_bits": _BUDGET_BITS},
+    # a generator s(p, q) needs p < q <= N
+    "cactus-relations": {"n": ("n", int), "N": ("big_n", _at_least("--N", 2)),
+                         "budget_bits": _BUDGET_BITS},
     "thm2": {"n": _N_VALUES, "N": _BIG_N_MAX, "budget_bits": _BUDGET_BITS},
     "thm52": {"n": _N_VALUES, "N": _BIG_N_MAX, "seed": ("seed", int)},
     "thm51-signs": {"n": _N_VALUES},

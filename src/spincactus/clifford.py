@@ -8,7 +8,9 @@ letter either kills the monomial (wedge onto a set bit, contraction of a clear
 one) or toggles its bit, flipping the sign when an odd number of set bits lies
 below it; only a surviving monomial touches its coefficient, once. Coefficients
 are exact rationals; the operators in scope only ever introduce halves, so
-denominators stay powers of two.
+denominators stay powers of two. gl is in normal order, E_ij = sum_k psi_{k,i}
+d_{k,j} - (N/2) delta_ij, so both Cartan subalgebras act diagonally on monomials
+and weights are read off the bits.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from .youngt import f_map, shorter, syd_to_orthweight
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
-MINUS_HALF = -HALF
 
 
 class ExteriorVector:
@@ -140,7 +140,6 @@ class BiWeightReport:
     is_weight: bool
     left: OrthWeight | None
     right: Weight | None
-    failures: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -189,21 +188,17 @@ class ExteriorAlgebra:
         if kind != "gl" and i == j:
             raise ValidationError(f"{kind} operators need i != j")
         n, i, j = self.n, i - 1, j - 1
-        terms = []
+        # the normal-order shift of the diagonal gl elements: -N/2 on every monomial
+        terms = [(Fraction(-self.N, 2), ())] if kind == "gl" and i == j else []
         for k in range(1, self.N + 1):
             row, bar = (k - 1) * n, (self.kbar(k) - 1) * n
             if kind == "gl":
-                # half the commutator of wedge and contraction, summed over rows
-                terms.append((HALF, (("M", row + i), ("D", row + j))))
-                terms.append((MINUS_HALF, (("D", row + j), ("M", row + i))))
+                terms.append((ONE, (("M", row + i), ("D", row + j))))
             elif kind == "raise":
                 terms.append((ONE, (("M", row + i), ("M", bar + j))))
             else:
                 terms.append((ONE, (("D", bar + i), ("D", row + j))))
         return OperatorSpec(tuple(terms))
-
-    def act_oE(self, label, v):
-        return self.oe_operator(label).apply(v)
 
     def npos_oE_labels(self):
         cols = range(1, self.n + 1)
@@ -222,9 +217,6 @@ class ExteriorAlgebra:
             for s in range(n):
                 terms.append((c, (("M", (p - 1) * n + s), ("D", (q - 1) * n + s))))
         return OperatorSpec(tuple(terms))
-
-    def act_oV(self, mat, v):
-        return self.ov_operator(mat).apply(v)
 
     def npos_oV_matrices(self):
         d = self.d
@@ -312,27 +304,20 @@ class ExteriorAlgebra:
 
     # -- reports ---------------------------------------------------------------
 
-    def _eigenvalue(self, image, v):
-        if v.is_zero():
-            return None
-        anchor = next(iter(v.terms))
-        c = image.terms.get(anchor, ZERO) / v.terms[anchor]
-        return c if image == v.scaled(c) else None
-
     def weight_of_vector(self, v: ExteriorVector) -> BiWeightReport:
-        """Eigenvalues under t_1..t_d (integers) and h_1..h_n (half-integers)."""
-        failures, doubled = [], []
-        for denominator, table in ((1, self.row_cartan), (2, self.column_cartan)):
-            for name, op in table.items():
-                c = self._eigenvalue(op.apply(v), v)
-                if c is None or (denominator * c).denominator != 1:
-                    failures.append(name)
-                else:
-                    doubled.append(int(2 * c))
-        if failures:
-            return BiWeightReport(False, None, None, failures)
-        left, right = tuple(doubled[: self.d]), tuple(doubled[self.d :])
-        return BiWeightReport(True, OrthWeight(left, self.N), Weight(right))
+        """The doubled weight all of v's monomials share, read off their bits: t_i is
+        2(bits of row i - bits of row i+d), h_i is 2(rows holding column i) - N."""
+        n, d, big_n = self.n, self.d, self.N
+        row, column = (1 << n) - 1, sum(1 << k * n for k in range(big_n))  # row 1, column 1
+        weights = set()
+        for m in v.terms:
+            counts = [(m >> k * n & row).bit_count() for k in range(2 * d)]
+            left = tuple(2 * (counts[i] - counts[i + d]) for i in range(d))
+            weights.add((left, tuple(2 * (m & column << i).bit_count() - big_n for i in range(n))))
+        if len(weights) != 1:  # the zero vector, or mixed weights
+            return BiWeightReport(False, None, None)
+        ((left, right),) = weights
+        return BiWeightReport(True, OrthWeight(left, big_n), Weight(right))
 
     def check_singular(self, v: ExteriorVector) -> SingularReport:
         raising = (*self.column_raising.items(), *self.row_raising.items())

@@ -1,5 +1,6 @@
 import argparse
 import inspect
+import io
 import json
 
 import pytest
@@ -168,8 +169,6 @@ def test_verify_crystal_axioms_budget_exit(capsys, dims, bits, expected):
         (("--n", "2", "--N", "4"), 9, EXIT_OK),
         (("--n", "3", "--N", "4"), 9, EXIT_BUDGET),
         (("--n", "3", "--N", "4"), 10, EXIT_OK),
-        # N=1 has no generators and no work
-        (("--n", "2", "--N", "1"), 0, EXIT_OK),
     ],
 )
 def test_verify_cactus_relations_budget_exit(capsys, dims, bits, expected):
@@ -295,6 +294,9 @@ def test_act_needs_no_budget(capsys):
     assert len(json.loads(out)["record"]["steps2"]) == 7
 
 
+# nested past the JSON decoder's recursion limit; the stdin of every case below
+DEEP_PAYLOAD = "[" * 2000
+
 MALFORMED = [
     ["act", "--word", "s(1,2)", "--payload", "{}"],
     ["act", "--word", "s(1,2)", "--payload", "[1]"],
@@ -361,12 +363,24 @@ MALFORMED = [
     ["export", "crystal-graph", "--n", "2", "--N", "0"],
     # a chain of a height-0 shape would have no entry at height 1
     ["enumerate", "sssyt", "--nu", "0", "--N", "0", "--n", "2"],
+    # DEEP_PAYLOAD, by --payload or on stdin, used to end in a traceback
+    ["act", "--word", "s(1,2)", "--payload", DEEP_PAYLOAD],
+    ["convert", "table", "sssyt", "--payload", DEEP_PAYLOAD],
+    ["export", "component", "--payload", DEEP_PAYLOAD],
+    ["export", "orbit", "--payload", DEEP_PAYLOAD],
+    ["act", "--word", "s(1,2)"],
+    ["convert", "table", "sssyt"],
+    ["export", "component"],
+    ["export", "orbit"],
+    # N=1 has no generator s(p, q), so the suite would check nothing
+    ["verify", "cactus-relations", "--N", "1"],
 ]
 
 
 @pytest.mark.parametrize("argv", MALFORMED)
 def test_malformed_input_is_usage_error(capsys, monkeypatch, argv):
     monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_PAYLOAD))
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("error:")

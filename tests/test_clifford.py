@@ -61,7 +61,7 @@ def test_coefficients_stay_dyadic():
     alg = ExteriorAlgebra(2, 3)
     v = random_vector(rng, 6)
     for label in alg.npos_oE_labels():
-        image = alg.act_oE(label, v)
+        image = alg.oe_operator(label).apply(v)
         for c in image.terms.values():
             assert c.denominator & (c.denominator - 1) == 0  # power of two
 
@@ -147,15 +147,18 @@ def _per_factor_gl_reference(alg, i, j, v):
 
 def test_gl_action_matches_per_factor_reference():
     rng = random.Random(99)
-    alg = ExteriorAlgebra(2, 2)
-    for i in (1, 2):
-        for j in (1, 2):
-            for mask in range(16):
+    for n, big_n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        alg = ExteriorAlgebra(n, big_n)
+        labels = [("gl", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for label in labels:
+            spec = alg.oe_operator(label)
+            for mask in range(1 << (n * big_n)):
                 v = ExteriorVector.monomial(mask)
-                assert alg.act_oE(("gl", i, j), v) == _per_factor_gl_reference(alg, i, j, v)
-    for _ in range(20):
-        v = random_vector(rng, 4)
-        assert alg.act_oE(("gl", 1, 2), v) == _per_factor_gl_reference(alg, 1, 2, v)
+                assert spec.apply(v) == _per_factor_gl_reference(alg, *label[1:], v)
+        for _ in range(20):
+            label = rng.choice(labels)
+            v = random_vector(rng, n * big_n)
+            assert alg.oe_operator(label).apply(v) == _per_factor_gl_reference(alg, *label[1:], v)
 
 
 def test_cartan_h_on_monomials():
@@ -227,7 +230,8 @@ def test_representation_property_random():
             x = rng.choice(labels)
             y = rng.choice(labels)
             v = random_vector(rng, n * big_n, terms=4)
-            got = alg.act_oE(x, alg.act_oE(y, v)) - alg.act_oE(y, alg.act_oE(x, v))
+            op_x, op_y = alg.oe_operator(x), alg.oe_operator(y)
+            got = op_x.apply(op_y.apply(v)) - op_y.apply(op_x.apply(v))
             bracket = _mat_commutator(_oe_matrix(x, n), _oe_matrix(y, n))
             combo = None
             for label, coeff in _decompose_oe(bracket, n):
@@ -284,10 +288,8 @@ def test_operator_specs_are_built_once_per_algebra(monkeypatch):
     for v in (vec, vec + ExteriorVector.unit()):
         alg.check_singular(v)
         alg.weight_of_vector(v)
-    assert built == {
-        "oe": len(alg.npos_oE_labels()) + alg.n,
-        "ov": len(alg.npos_oV_matrices()) + alg.d,
-    }
+    # weights are read off the bits, so only the raising operators are built
+    assert built == {"oe": len(alg.npos_oE_labels()), "ov": len(alg.npos_oV_matrices())}
 
 
 def _substitute_rows_by_inversions(alg, row_map, v):
@@ -342,8 +344,8 @@ def test_row_and_column_actions_commute():
             v = random_vector(rng, n * big_n, terms=4)
             mat = rng.choice(row_mats)
             label = rng.choice(col_labels)
-            one = alg.act_oV(mat, alg.act_oE(label, v))
-            other = alg.act_oE(label, alg.act_oV(mat, v))
+            one = alg.ov_operator(mat).apply(alg.oe_operator(label).apply(v))
+            other = alg.oe_operator(label).apply(alg.ov_operator(mat).apply(v))
             assert one == other
 
 
@@ -355,11 +357,11 @@ def test_row_action_kills_vacuum():
         alg = ExteriorAlgebra(n, big_n)
         vac = ExteriorVector.unit()
         for _, mat in alg.npos_oV_matrices():
-            assert alg.act_oV(mat, vac).is_zero()
+            assert alg.ov_operator(mat).apply(vac).is_zero()
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                assert alg.act_oE(("lower", i, j), vac).is_zero()
-                assert not alg.act_oE(("raise", i, j), vac).is_zero()
+                assert alg.oe_operator(("lower", i, j)).apply(vac).is_zero()
+                assert not alg.oe_operator(("raise", i, j)).apply(vac).is_zero()
 
 
 def test_full_monomial_is_singular():
@@ -408,6 +410,64 @@ def test_weight_of_vector_worked():
 
     mixed = v + ExteriorVector.unit()
     assert not alg.weight_of_vector(mixed).is_weight
+
+
+def _weight_by_eigenvalues(alg, v):
+    """The operator form of weight_of_vector: v is a weight vector when it is an
+    eigenvector of every t_i and h_i, and its weight doubles the eigenvalues."""
+    if v.is_zero():
+        return False, None, None
+    anchor = next(iter(v.terms))
+    doubled = []
+    for spec in (*alg.row_cartan.values(), *alg.column_cartan.values()):
+        image = spec.apply(v)
+        c = image.terms.get(anchor, 0) / v.terms[anchor]
+        if image != v.scaled(c):
+            return False, None, None
+        assert (2 * c).denominator == 1
+        doubled.append(int(2 * c))
+    left, right = tuple(doubled[: alg.d]), tuple(doubled[alg.d :])
+    return True, OrthWeight(left, alg.N), Weight(right)
+
+
+@pytest.mark.parametrize(
+    "n, big_n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 3)]
+)
+def test_every_monomial_is_a_cartan_eigenvector_of_its_bit_weight(n, big_n):
+    alg = ExteriorAlgebra(n, big_n)
+    specs = (*alg.row_cartan.values(), *alg.column_cartan.values())
+    for mask in range(1 << (n * big_n)):
+        v = ExteriorVector.monomial(mask)
+        report = alg.weight_of_vector(v)
+        assert report.is_weight
+        doubled = (*report.left.coords2, *report.right.coords2)
+        for spec, c2 in zip(specs, doubled, strict=True):
+            assert spec.apply(v) == v.scaled(Fraction(c2, 2))
+
+
+def test_weight_of_vector_matches_eigenvalues_on_random_vectors():
+    rng = random.Random(20240806)
+    buckets = {}
+    for dims in [(2, 3), (3, 3), (2, 4)]:
+        alg = ExteriorAlgebra(*dims)
+        by_weight = {}
+        for mask in range(1 << (dims[0] * dims[1])):
+            weight = _weight_by_eigenvalues(alg, ExteriorVector.monomial(mask))
+            by_weight.setdefault(weight, []).append(mask)
+        buckets[dims] = (alg, list(by_weight.values()))
+    seen = set()
+    for trial in range(300):
+        alg, groups = buckets[rng.choice(list(buckets))]
+        # a third of the vectors share one weight; the rest draw any monomials
+        pool = rng.choice(groups) if trial % 3 == 0 else range(1 << (alg.n * alg.N))
+        terms = {rng.choice(pool): Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+                 for _ in range(rng.randint(1, 5))}
+        v = ExteriorVector(terms)
+        report = alg.weight_of_vector(v)
+        assert (report.is_weight, report.left, report.right) == _weight_by_eigenvalues(alg, v)
+        seen.add((report.is_weight, len(v.terms) > 1))
+    assert seen == {(True, False), (True, True), (False, True)}
+    assert not ExteriorAlgebra(2, 3).weight_of_vector(ExteriorVector()).is_weight
 
 
 def test_check_singular_and_corruption():
