@@ -9,11 +9,15 @@ exactly when eps_i(first) exceeds phi_i(second), and f_i when it is at least
 phi_i(second).
 
 The kernel is table-driven: each crystal precomputes, for every index i, the
-images of all 2^n factors under e_i and f_i and their eps_i, phi_i (0 or 1;
-every i-string of the basic crystal has length at most one). On a word, one
-pass over the factors (`_signature`) gives the free phi_i and eps_i factors of
-the equivalent signature rule: e_i and f_i move the first of them, eps_i and
-phi_i count them, and the scans read tops, bottoms and successors from it.
+images of all 2^n factors under e_i and f_i and one code table: 1 for an eps_i
+factor, 2 for a phi_i factor, 0 for neither (every i-string of the basic
+crystal has length at most one). In the equivalent signature rule each phi
+factor cancels the nearest open eps factor to its left. e_i and f_i make one
+pass that keeps only the open-eps depth and builds no list; `_signature` lists
+the free factors for eps_i and phi_i. `component_members` runs all n bracket
+counts in one pass per member, from per-factor lists of the indices at which a
+factor is an eps or a phi factor. Each crystal scans a tensor power for its
+tops once and stores them, so the census and the components share one scan.
 The literal two-factor recursion stays in `suites` as the oracle
 (`tensor_e_reference`, `tensor_f_reference`).
 
@@ -103,7 +107,8 @@ class SpinCrystal:
             raise ValidationError(f"rank must be at least 2, got {n}")
         self.n = n
         # Operator tables indexed [i][b], slot 0 unused: the image of b under
-        # e_i or f_i (None where it is zero), and eps_i, phi_i of b (0 or 1).
+        # e_i or f_i (None where it is zero), and b's code for index i: 1 for an
+        # eps factor (eps_i = 1), 2 for a phi factor (phi_i = 1), 0 for neither.
         indices = range(1, n + 1)
         self._e = (None,) + tuple(
             tuple(_spin_move(n, i, b, False) for b in self.elements()) for i in indices
@@ -111,15 +116,23 @@ class SpinCrystal:
         self._f = (None,) + tuple(
             tuple(_spin_move(n, i, b, True) for b in self.elements()) for i in indices
         )
-        self._eps1 = (None,) + tuple(
-            tuple(int(up is not None) for up in self._e[i]) for i in indices
+        self._code = (None,) + tuple(
+            tuple((up is not None) + 2 * (down is not None) for up, down in zip(ups, downs))
+            for ups, downs in zip(self._e[1:], self._f[1:])
         )
-        self._phi1 = (None,) + tuple(
-            tuple(int(down is not None) for down in self._f[i]) for i in indices
+        assert all(3 not in self._code[i] for i in indices), (
+            "every i-string of the basic crystal has length at most one"
         )
-        assert not any(
-            self._eps1[i][b] and self._phi1[i][b] for i in indices for b in self.elements()
-        ), "every i-string of the basic crystal has length at most one"
+        # Per factor: its doubled weight, and the indices for which it is an eps
+        # or a phi factor, so that one pass over a word serves every index.
+        self._coords2 = tuple(signs[::-1] for signs in product((-1, 1), repeat=n))
+        self._eps_at = [[] for _ in self.elements()]
+        self._phi_at = [[] for _ in self.elements()]
+        for i in indices:
+            for b, c in enumerate(self._code[i]):
+                if c:
+                    (self._phi_at if c == 2 else self._eps_at)[b].append(i)
+        self._tops = {}  # big_n -> the highest-weight words of that power, in product order
 
     # -- single factors ----------------------------------------------------
 
@@ -127,7 +140,7 @@ class SpinCrystal:
         return range(1 << self.n)
 
     def element_weight(self, b) -> Weight:
-        return Weight(tuple(1 if (b >> j) & 1 else -1 for j in range(self.n)))
+        return Weight(self._coords2[b])
 
     def element_of_weight(self, w: Weight):
         if w.rank != self.n or not is_spinor2(w.coords2):
@@ -153,11 +166,7 @@ class SpinCrystal:
     # -- tensor words -------------------------------------------------------
 
     def word_weight(self, w) -> Weight:
-        total = [0] * self.n
-        for b in w:
-            for j in range(self.n):
-                total[j] += 1 if (b >> j) & 1 else -1
-        return Weight(tuple(total))
+        return Weight(tuple(map(sum, zip((0,) * self.n, *map(self._coords2.__getitem__, w)))))
 
     def _signature(self, i, w):
         """The free phi_i and the free eps_i positions of w, innermost first, in one pass.
@@ -168,14 +177,15 @@ class SpinCrystal:
         factor and e_i the first free eps factor, so each list starts with
         the factor its operator moves, then the one it moves next.
         """
-        eps1, phi1 = self._eps1[i], self._phi1[i]
+        code = self._code[i]
         free_phi = []
         free_eps = []  # eps factors not yet cancelled, left to right
         k = 0  # a plain counter: enumerate costs a quarter of the pass on short words
         for b in w:
-            if eps1[b]:
+            c = code[b]
+            if c == 1:
                 free_eps.append(k)
-            elif phi1[b]:
+            elif c:
                 if free_eps:
                     free_eps.pop()
                 else:
@@ -185,13 +195,28 @@ class SpinCrystal:
         return free_phi, free_eps
 
     def _move(self, i, w, lowering):
-        """f_i (lowering) or e_i on a word by the signature rule; None where it is zero."""
+        """f_i (lowering) or e_i on a word by the signature rule; None where it is zero.
+        One pass keeps the open-eps depth: f_i moves the last phi factor met at
+        depth 0, e_i the eps factor opened at depth 0 and never closed."""
         self._check_index(i)
-        free_phi, free_eps = self._signature(i, w)
-        free = free_phi if lowering else free_eps
-        if not free:
+        code = self._code[i]
+        depth = k = 0
+        first_eps = last_phi = None
+        for b in w:
+            c = code[b]
+            if c == 1:
+                if not depth:
+                    first_eps = k
+                depth += 1
+            elif c:
+                if depth:
+                    depth -= 1
+                else:
+                    last_phi = k
+            k += 1
+        pos = last_phi if lowering else first_eps if depth else None
+        if pos is None:
             return None
-        pos = free[0]
         table = self._f[i] if lowering else self._e[i]
         return w[:pos] + (table[w[pos]],) + w[pos + 1 :]
 
@@ -214,15 +239,15 @@ class SpinCrystal:
     def is_highest_weight(self, w):
         """No e_i moves w: read right to left, a pending phi factor cancels each
         eps factor. Stops at the first eps factor that none cancels."""
-        for i in range(1, self.n + 1):
-            eps1, phi1 = self._eps1[i], self._phi1[i]
+        for code in self._code[1:]:
             pending = 0
             for b in reversed(w):
-                if eps1[b]:
+                c = code[b]
+                if c == 1:
                     if not pending:
                         return False
                     pending -= 1
-                elif phi1[b]:
+                elif c:
                     pending += 1
         return True
 
@@ -258,26 +283,31 @@ class SpinCrystal:
     def component_members(self, w, budget_bits=DEFAULT_BUDGET_BITS):
         """All words in the component of w, found by lowering from its top.
 
-        One signature per (member, index) gives the f_i-successor and says
-        whether the member is a top or a bottom word.
+        One pass over a member's factors runs all n bracket counts at once: it
+        gives every f_i-successor, in index order, and says whether the member
+        is a top or a bottom word.
         """
         hw = self.to_highest_weight(w)
-        indices = range(1, self.n + 1)
-        signature, f = self._signature, self._f
+        n, f, eps_at, phi_at = self.n, self._f, self._eps_at, self._phi_at
         tops = bottoms = 0
 
         def successors(cur):
             nonlocal tops, bottoms
-            down = []
-            top = True
-            for i in indices:
-                free_phi, free_eps = signature(i, cur)
-                if free_eps:
-                    top = False
-                if free_phi:
-                    pos = free_phi[0]
-                    down.append(cur[:pos] + (f[i][cur[pos]],) + cur[pos + 1 :])
-            tops += top
+            depth = [0] * (n + 1)
+            last = [None] * (n + 1)  # the last free phi factor per index, slot 0 unused
+            k = 0
+            for b in cur:
+                for i in eps_at[b]:
+                    depth[i] += 1
+                for i in phi_at[b]:
+                    if depth[i]:
+                        depth[i] -= 1
+                    else:
+                        last[i] = k
+                k += 1
+            down = [cur[:pos] + (f[i][cur[pos]],) + cur[pos + 1 :]
+                    for i, pos in enumerate(last) if pos is not None]
+            tops += not any(depth)
             bottoms += not down
             return down
 
@@ -306,8 +336,12 @@ class SpinCrystal:
         return [comp for _, comp in found]
 
     def highest_weight_words(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
+        """The tops of the N-th tensor power in product order; one scan per crystal and N."""
         _check_budget(self.n * big_n, budget_bits)
-        return [w for w in self.all_words(big_n) if self.is_highest_weight(w)]
+        tops = self._tops.get(big_n)
+        if tops is None:
+            tops = self._tops[big_n] = tuple(filter(self.is_highest_weight, self.all_words(big_n)))
+        return list(tops)
 
     def hw_census(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
         """Count highest-weight words per weight; keys in descending lex order."""

@@ -73,26 +73,27 @@ def _root2(i, n):
     return tuple(alpha)
 
 
-def tensor_f_reference(crystal, i, w):
-    """Literal two-factor recursion, eps/phi by repeated application."""
+def tensor_f_reference(crystal, i, w, eps_memo=None):
+    """Literal two-factor recursion, eps/phi by repeated application; eps_memo, if
+    given, is a dict of eps_i by (i, word) that belongs to this crystal alone."""
     if len(w) == 1:
         moved = crystal.spin_f(i, w[0])
         return None if moved is None else (moved,)
     head, last = w[:-1], w[-1]
-    if _eps_reference(crystal, i, head) >= _phi1_reference(crystal, i, last):
-        moved = tensor_f_reference(crystal, i, head)
+    if _eps_reference(crystal, i, head, eps_memo) >= _phi1_reference(crystal, i, last):
+        moved = tensor_f_reference(crystal, i, head, eps_memo)
         return None if moved is None else moved + (last,)
     moved = crystal.spin_f(i, last)
     return None if moved is None else head + (moved,)
 
 
-def tensor_e_reference(crystal, i, w):
+def tensor_e_reference(crystal, i, w, eps_memo=None):
     if len(w) == 1:
         moved = crystal.spin_e(i, w[0])
         return None if moved is None else (moved,)
     head, last = w[:-1], w[-1]
-    if _eps_reference(crystal, i, head) > _phi1_reference(crystal, i, last):
-        moved = tensor_e_reference(crystal, i, head)
+    if _eps_reference(crystal, i, head, eps_memo) > _phi1_reference(crystal, i, last):
+        moved = tensor_e_reference(crystal, i, head, eps_memo)
         return None if moved is None else moved + (last,)
     moved = crystal.spin_e(i, last)
     return None if moved is None else head + (moved,)
@@ -102,12 +103,16 @@ def _phi1_reference(crystal, i, b):
     return 0 if crystal.spin_f(i, b) is None else 1
 
 
-def _eps_reference(crystal, i, w):
+def _eps_reference(crystal, i, w, memo=None):
+    if memo is not None and (i, w) in memo:
+        return memo[i, w]
     count = 0
-    cur = tensor_e_reference(crystal, i, w)
+    cur = tensor_e_reference(crystal, i, w, memo)
     while cur is not None:
         count += 1
-        cur = tensor_e_reference(crystal, i, cur)
+        cur = tensor_e_reference(crystal, i, cur, memo)
+    if memo is not None:
+        memo[i, w] = count
     return count
 
 
@@ -173,6 +178,8 @@ def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGE
     checks = []
     for n in n_values:
         crystal = SpinCrystal(n)
+        # the reference's eps_i by (i, word) on heads shorter than N: n*sum_{k<N} 2^(nk) at most
+        eps_memo = {}
         wts = sorted((crystal.element_weight(b) for b in crystal.elements()),
                      key=lambda w: w.coords2, reverse=True)
         _check(
@@ -204,9 +211,9 @@ def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGE
                             bad.append(("weight-shift-e", w, i))
                         if crystal.tensor_f(i, up) != w:
                             bad.append(("fe-adjoint", w, i))
-                    if down != tensor_f_reference(crystal, i, w):
+                    if down != tensor_f_reference(crystal, i, w, eps_memo):
                         bad.append(("f-vs-reference", w, i))
-                    if up != tensor_e_reference(crystal, i, w):
+                    if up != tensor_e_reference(crystal, i, w, eps_memo):
                         bad.append(("e-vs-reference", w, i))
             _check(
                 checks,

@@ -167,3 +167,20 @@ def test_cli_builds_the_crystal_within_the_budget(capsys, monkeypatch, argv, cod
     assert main(argv) == code
     assert built == [rank]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda c, bits: c.highest_weight_words(4, bits),
+        lambda c, bits: c.hw_census(4, bits),
+        lambda c, bits: c.components(4, bits),
+    ],
+)
+def test_stored_tops_are_charged_on_every_call(scan):
+    crystal = SpinCrystal(2)
+    crystal.highest_weight_words(4, 20)  # 8 bits of words, now stored
+    scan(crystal, 8)
+    with pytest.raises(BudgetExceededError) as info:
+        scan(crystal, 7)
+    assert (info.value.needed_bits, info.value.budget_bits) == (8, 7)

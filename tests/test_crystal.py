@@ -102,7 +102,8 @@ def _repeated(op, i, w):
 
 
 def test_matches_reference_recursion():
-    for n, big_n_max in ((2, 5), (3, 4)):
+    # (4, 3): an even rank past the smallest, where f_n and f_{n-1} fork
+    for n, big_n_max in ((2, 5), (3, 4), (4, 3)):
         c = SpinCrystal(n)
         for big_n in range(1, big_n_max + 1):
             for w in c.all_words(big_n):
@@ -345,3 +346,73 @@ def test_eps_phi_match_repeated_reference_moves(n):
             for i in range(1, n + 1):
                 assert c.eps(i, w) == _repeated(up, i, w)
                 assert c.phi(i, w) == _repeated(down, i, w)
+
+
+def _lowering_closure(c, hw):
+    """The component of hw, stepped by tensor_f one index at a time."""
+    return closure(hw, lambda cur: [c.tensor_f(i, cur) for i in range(1, c.n + 1)], 24)
+
+
+@pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 4), (4, 3)])
+def test_component_members_match_the_lowering_closure(n, big_n_max):
+    c = SpinCrystal(n)
+    for big_n in range(1, big_n_max + 1):
+        for hw in c.highest_weight_words(big_n):
+            expected = _lowering_closure(c, hw)
+            assert c.component_members(hw) == (hw, expected)
+            assert sum(map(c.is_highest_weight, expected)) == 1
+            assert sum(map(c.is_lowest_weight, expected)) == 1
+            # from any other member the same component comes back, with the same top
+            assert c.component_members(c.to_lowest_weight(hw)) == (hw, expected)
+
+
+def test_component_members_asserts_one_top_and_one_bottom():
+    c = SpinCrystal(2)
+    hw = c.to_highest_weight((0, 0))
+    assert len(c.component_members(hw)[1]) > 1
+    c._eps_at = tuple(() for _ in c._eps_at)  # no factor closes a bracket: every member is a top
+    with pytest.raises(AssertionError, match="exactly one top and one bottom"):
+        c.component_members(hw)
+
+
+@pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 4), (4, 3)])
+def test_highest_weight_words_are_the_brute_force_tops(n, big_n_max):
+    c = SpinCrystal(n)
+    for big_n in range(1, big_n_max + 1):
+        expected = [w for w in c.all_words(big_n) if c.is_highest_weight(w)]
+        assert c.highest_weight_words(big_n) == expected
+        assert c.highest_weight_words(big_n) == expected  # read back from the stored scan
+
+
+def test_stored_tops_survive_mutation_of_a_result():
+    c = SpinCrystal(3)
+    first = c.highest_weight_words(3)
+    expected = list(first)
+    first.clear()
+    first.append((0, 0, 0))
+    assert c.highest_weight_words(3) == expected
+    # the census and the components read the same stored scan
+    assert sum(c.hw_census(3).values()) == len(expected)
+    assert [comp.hw_word for comp in c.components(3)] == sorted(
+        expected, key=lambda hw: min(c.component_members(hw)[1])
+    )
+
+
+def test_word_weight_sums_the_factor_weights():
+    for n in (2, 3, 4):
+        c = SpinCrystal(n)
+        for w in c.all_words(2):
+            expected = [sum(1 if (b >> j) & 1 else -1 for b in w) for j in range(n)]
+            assert c.word_weight(w).coords2 == tuple(expected)
+
+
+def test_eps_memo_gives_the_reference_answers_within_its_bound():
+    n, big_n = 3, 3
+    c = SpinCrystal(n)
+    memo = {}
+    for w in c.all_words(big_n):
+        for i in range(1, n + 1):
+            assert tensor_f_reference(c, i, w, memo) == tensor_f_reference(c, i, w)
+            assert tensor_e_reference(c, i, w, memo) == tensor_e_reference(c, i, w)
+    assert all(len(w) < big_n for _, w in memo)
+    assert len(memo) <= n * sum(1 << (n * k) for k in range(big_n))
