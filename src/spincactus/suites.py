@@ -30,14 +30,19 @@ from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal, _check_budget, node_limit
 from .errors import BudgetExceededError, ValidationError
 from .weights import Weight, is_dominant_d, spinor_weights, w0_image
 from .youngt import (
+    GTPattern,
+    SSYTable,
     ShortYoungDiagram,
     count_sssyt,
     enumerate_gtp,
     enumerate_sssyt,
     f_inverse,
     f_map,
+    is_self_associated,
     j_inverse,
     j_map,
+    shorter,
+    syd_to_orthweight,
     y_inverse,
     y_map,
 )
@@ -498,6 +503,27 @@ def suite_thm51_signs(n_values=(2, 3), even_n_values=(2, 4), odd_n_values=(1, 3)
         {"n_values": list(n_values), "even_N": list(even_n_values), "odd_N": list(odd_n_values)},
         checks,
     )
+
+
+def y_map_reference(t):
+    """y_map as the literal composition: f_map of every prefix diagram."""
+    return SSYTable(tuple(f_map(d) for d in t.diagram_chain()))
+
+
+def y_inverse_reference(s):
+    """y_inverse as the literal composition: the steps of the f_inverse chain."""
+    return steps_from_diagram_chain([f_inverse(v) for v in s.chain])
+
+
+def j_map_reference(s):
+    """j_map through shorter and syd_to_orthweight, one level at a time."""
+    betas = []
+    for k in range(s.length, 2, -1):
+        v, sign = s.chain[k - 1], -1 if s.chain[k - 2].size() % 2 else 1
+        betas.append(syd_to_orthweight(v, k, sign) if is_self_associated(v)
+                     else syd_to_orthweight(shorter(v), k))
+    z = shorter(s.chain[1]).size()
+    return GTPattern(tuple(betas), -z if s.chain[0].size() else z)
 
 
 def _all_cell_diagrams(n, big_n):

@@ -6,10 +6,13 @@ irreducible representations of the rank-N orthogonal group that occur here.
 The three indexing sets (cell tables, short Young tables, GT patterns) are
 connected by the bijections y_map and j_map below.
 
-Records are validated where they enter: the constructors, from_json, f_map, y_map and
-j_map. What this module derives from checked values (the enumerators, branch_syd,
-associated, f_inverse, syd_to_orthweight, _level_options, j_inverse's chain) is built
-through weights.trusted; j_inverse still compares its chain's j_map image with p.
+Both read their data once: a step whose coordinate n+1-j is -1/2 (at odd n and j = 1: whose
+last one is +1/2) grows column j, and a GT row is a level's shorter diagram, doubled.
+
+Records are validated where they enter: the constructors, from_json, f_map, y_map, y_inverse
+(through CellTable) and j_map. What this module derives from checked values (the enumerators,
+branch_syd, associated, f_inverse, syd_to_orthweight, _level_options, j_inverse's chain) is
+built through weights.trusted; j_inverse still compares its chain's j_map image with p.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .celldiag import CellDiagram, CellTable, diagram_of_weight, steps_from_diagram_chain
+from .celldiag import CellDiagram, CellTable
 from .errors import ValidationError
-from .weights import OrthWeight, as_int, trusted
+from .weights import OrthWeight, Weight, as_int, trusted
 
 
 @dataclass(frozen=True)
@@ -111,10 +114,15 @@ def f_inverse(v: ShortYoungDiagram) -> CellDiagram:
     return trusted(CellDiagram, tuple(l), tuple(v.N - x for x in l))
 
 
+def _associate_rows(rows, big_n):
+    """The rows of the associate: the first column becomes big_n minus itself."""
+    wide = tuple(x for x in rows if x > 1)  # the c_2 rows past the first column stay
+    return wide + (1,) * (big_n - len(rows) - len(wide))
+
+
 def associated(v: ShortYoungDiagram) -> ShortYoungDiagram:
     """Replace the first column by N minus itself; an involution on SYD(N, n)."""
-    wide = tuple(x for x in v.rows if x > 1)  # the c_2 rows past the first column stay
-    return trusted(ShortYoungDiagram, wide + (1,) * (v.N - len(v.rows) - len(wide)), v.N, v.n)
+    return trusted(ShortYoungDiagram, _associate_rows(v.rows, v.N), v.N, v.n)
 
 
 def is_self_associated(v: ShortYoungDiagram) -> bool:
@@ -254,16 +262,40 @@ def count_sssyt(v: ShortYoungDiagram) -> int:
     return sum(counts.values())
 
 
+def _growing_signs(n):
+    """Per step coordinate i, the sign growing column n - i: l_{i+1}, or r_n at odd n (f_map)."""
+    return (-1,) * (n - 1) + (1 if n % 2 else -1,)
+
+
 def y_map(t: CellTable) -> SSYTable:
-    """Apply the diagram-to-partition map to every entry of the table's chain."""
+    """f_map of each prefix diagram: a column growing from L to L + 1 adds a box to row L + 1."""
+    n = t.height
+    signs = _growing_signs(n)
+    cols, rows, chain = [0] * n, [0] * t.length, []
     try:
-        return SSYTable(tuple(f_map(d) for d in t.diagram_chain()))
+        for k, mu in enumerate(t.steps, 1):
+            for i, c in enumerate(mu.coords2):
+                if c == signs[i]:
+                    rows[cols[i]] += 1
+                    cols[i] += 1
+            chain.append(ShortYoungDiagram(tuple(rows[:max(cols)]), k, n))
+        return SSYTable(tuple(chain))
     except ValidationError as exc:  # pragma: no cover - guaranteed for valid input
         raise AssertionError(f"y_map produced an invalid chain: {exc}") from exc
 
 
 def y_inverse(s: SSYTable) -> CellTable:
-    return steps_from_diagram_chain([f_inverse(v) for v in s.chain])
+    """Step k grows the columns of level k's strip: old_i + 1..new_i for each row i."""
+    n = s.chain[0].n
+    signs = _growing_signs(n)
+    steps, old = [], ()
+    for v in s.chain:
+        c = [-x for x in signs]
+        for o, new in zip(old + (0,), v.rows):  # a strip opens at most one row
+            c[n - new:n - o] = signs[n - new:n - o]
+        steps.append(Weight(tuple(c)))
+        old = v.rows
+    return CellTable(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -313,14 +345,6 @@ class GTPattern:
         )
 
 
-def _beta_of_level(v: ShortYoungDiagram, below_size: int, k: int) -> OrthWeight:
-    if not is_self_associated(v):
-        return syd_to_orthweight(shorter(v), k)
-    if below_size % 2 == 0:
-        return syd_to_orthweight(v, k, 1)
-    return syd_to_orthweight(v, k, -1)
-
-
 def j_map(s: SSYTable) -> GTPattern:
     """The pattern of a chain: shorter diagrams as rows, with a sign twist at
     self-associated levels recording the parity of the level below, and z
@@ -329,7 +353,13 @@ def j_map(s: SSYTable) -> GTPattern:
         raise ValidationError("patterns are only defined for chains of length >= 3")
     betas = []
     for k in range(s.length, 2, -1):
-        betas.append(_beta_of_level(s.chain[k - 1], s.chain[k - 2].size(), k))
+        rows = s.chain[k - 1].rows
+        if 2 * len(rows) > k:
+            rows = _associate_rows(rows, k)
+        coords = [2 * x for x in rows] + [0] * (k // 2 - len(rows))
+        if 2 * len(rows) == k and s.chain[k - 2].size() % 2:  # self-associated, odd below
+            coords[-1] = -coords[-1]
+        betas.append(trusted(OrthWeight, tuple(coords), k))
     z = shorter(s.chain[1]).size()
     if s.chain[0].size() != 0:
         z = -z

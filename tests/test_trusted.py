@@ -295,6 +295,22 @@ def test_enumerators_and_inverse_maps_do_not_revalidate(validations):
     assert counts["SSYTable"] == counts["ShortYoungDiagram"] == 0, counts
 
 
+def test_bijection_maps_read_steps_and_rows_without_prefix_diagrams(validations):
+    s = y_map(WORKED)
+    counts = validations()
+    y_map(WORKED)
+    assert (counts["SSYTable"], counts["ShortYoungDiagram"]) == (1, WORKED.length), counts
+    assert counts["CellDiagram"] == counts["Weight"] == 0, counts
+
+    counts = validations()
+    y_inverse(s)
+    assert counts["CellTable"] == 1 and counts["CellDiagram"] == 0, counts
+
+    counts = validations()
+    j_map(s)
+    assert counts["GTPattern"] == 1 and counts["ShortYoungDiagram"] == 0, counts
+
+
 INVALID = [
     (lambda: ShortYoungDiagram.from_json({"rows": [2, 3], "N": 4, "n": 4}),
      "rows must be weakly decreasing"),

@@ -9,6 +9,7 @@ from spincactus.celldiag import (
     table_from_steps,
 )
 from spincactus.errors import ValidationError
+from spincactus.suites import j_map_reference, y_inverse_reference, y_map_reference
 from spincactus.weights import OrthWeight, Weight
 from spincactus.youngt import (
     GTPattern,
@@ -284,6 +285,20 @@ def test_y_map_bijective_small():
                 assert images == set(enumerate_sssyt(f_map(shape)))
                 for t in tables:
                     assert y_inverse(y_map(t)) == t
+
+
+@pytest.mark.parametrize("n,big_n", [(n, big_n) for n in (2, 3, 4) for big_n in range(1, 7)])
+def test_maps_match_the_composed_references(n, big_n):
+    # y_map and y_inverse read columns off the steps and j_map reads rows off the levels;
+    # the references compose f_map, f_inverse, diagram chains and syd_to_orthweight
+    for lam in enumerate_delta(n, big_n):
+        shape = diagram_of_weight(lam, big_n)
+        for t in enumerate_tables(shape):
+            assert y_map(t) == y_map_reference(t), t
+        for s in enumerate_sssyt(f_map(shape)):
+            assert y_inverse(s) == y_inverse_reference(s), s
+            if big_n >= 3:
+                assert j_map(s) == j_map_reference(s), s
 
 
 def test_j_map_hand_example():
