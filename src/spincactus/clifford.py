@@ -6,11 +6,12 @@ indices, kept sorted ascending, and every operator sign is a transposition
 count against that order. An operator word acts monomial by monomial: each
 letter either kills the monomial (wedge onto a set bit, contraction of a clear
 one) or toggles its bit, flipping the sign when an odd number of set bits lies
-below it; only a surviving monomial touches its coefficient, once. Coefficients
-are exact rationals; the operators in scope only ever introduce halves, so
-denominators stay powers of two. gl is in normal order, E_ij = sum_k psi_{k,i}
-d_{k,j} - (N/2) delta_ij, so both Cartan subalgebras act diagonally on monomials
-and weights are read off the bits.
+below it; only a surviving monomial touches its coefficient, once. Every
+coefficient is a nonzero Fraction: the public constructor converts and drops
+zeros, and every operation returns Fractions. The operators in scope only
+ever introduce halves, so denominators stay powers of two. gl is in normal
+order, E_ij = sum_k psi_{k,i} d_{k,j} - (N/2) delta_ij, so both Cartan
+subalgebras act diagonally on monomials and weights are read off the bits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import ValidationError
 from .weights import OrthWeight, Weight
 from .youngt import f_map, shorter, syd_to_orthweight
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -34,7 +34,14 @@ class ExteriorVector:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def _of(cls, terms):
+        """Wrap a dict of nonzero Fractions as given."""
+        vec = object.__new__(cls)
+        vec.terms = terms
+        return vec
 
     @classmethod
     def unit(cls):
@@ -42,7 +49,7 @@ class ExteriorVector:
 
     @classmethod
     def monomial(cls, mask, coeff=ONE):
-        return cls({mask: Fraction(coeff)})
+        return cls({mask: coeff})
 
     def is_zero(self):
         return not self.terms
@@ -53,18 +60,18 @@ class ExteriorVector:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return ExteriorVector(out)
+            out[m] = out.get(m, 0) + c
+        return _nonzero(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) - c
-        return ExteriorVector(out)
+            out[m] = out.get(m, 0) - c
+        return _nonzero(out)
 
     def scaled(self, c):
         c = Fraction(c)
-        return ExteriorVector({m: c * v for m, v in self.terms.items()})
+        return _nonzero({m: c * v for m, v in self.terms.items()})
 
     def __repr__(self):
         if self.is_zero():
@@ -73,32 +80,24 @@ class ExteriorVector:
         return "ExteriorVector(" + " + ".join(parts) + ")"
 
 
-def _sign_below(mask, bit_index):
-    return -1 if (mask & ((1 << bit_index) - 1)).bit_count() & 1 else 1
+def _nonzero(terms):
+    """The vector of a dict of Fractions, dropping the coefficients that cancelled."""
+    return ExteriorVector._of({m: c for m, c in terms.items() if c})
 
 
+# m -> m | bit and m -> m ^ bit are injective and +-c != 0: no image accumulates or cancels.
 def wedge_insert(idx, x: ExteriorVector) -> ExteriorVector:
     """Left wedge by basis vector idx; kills monomials already containing it."""
-    bit = 1 << idx
-    out = {}
-    for m, c in x.terms.items():
-        if m & bit:
-            continue
-        nm = m | bit
-        out[nm] = out.get(nm, ZERO) + c * _sign_below(m, idx)
-    return ExteriorVector(out)
+    bit, below = 1 << idx, (1 << idx) - 1
+    return ExteriorVector._of({m | bit: -c if (m & below).bit_count() & 1 else c
+                               for m, c in x.terms.items() if not m & bit})
 
 
 def contract(idx, x: ExteriorVector) -> ExteriorVector:
     """Interior product dual to wedge_insert; kills monomials without idx."""
-    bit = 1 << idx
-    out = {}
-    for m, c in x.terms.items():
-        if not m & bit:
-            continue
-        nm = m & ~bit
-        out[nm] = out.get(nm, ZERO) + c * _sign_below(m, idx)
-    return ExteriorVector(out)
+    bit, below = 1 << idx, (1 << idx) - 1
+    return ExteriorVector._of({m ^ bit: -c if (m & below).bit_count() & 1 else c
+                               for m, c in x.terms.items() if m & bit})
 
 
 @dataclass(frozen=True)
@@ -124,15 +123,14 @@ class OperatorSpec:
             for coeff, word in self.terms:
                 mask, below = start, 0
                 for kind, idx in reversed(word):
-                    bit = 1 << idx
-                    if (kind == "M") == bool(mask & bit):
+                    if (kind == "M") == (mask >> idx & 1):
                         break  # wedge onto a set bit or contraction of a clear one
-                    below += (mask & (bit - 1)).bit_count()
-                    mask ^= bit
+                    below += (mask & ((1 << idx) - 1)).bit_count()
+                    mask ^= 1 << idx
                 else:
-                    prev = out.get(mask, ZERO)
+                    prev = out.get(mask, 0)
                     out[mask] = prev - coeff * c if below & 1 else prev + coeff * c
-        return ExteriorVector(out)
+        return _nonzero(out)
 
 
 @dataclass
@@ -187,18 +185,22 @@ class ExteriorAlgebra:
             raise ValidationError(f"unknown column-side label {label}")
         if kind != "gl" and i == j:
             raise ValidationError(f"{kind} operators need i != j")
-        n, i, j = self.n, i - 1, j - 1
+        i, j, rows = i - 1, j - 1, self._row_offsets
+        if kind == "gl":
+            terms = [(ONE, (("M", row + i), ("D", row + j))) for row, _ in rows]
+        elif kind == "raise":
+            terms = [(ONE, (("M", row + i), ("M", bar + j))) for row, bar in rows]
+        else:
+            terms = [(ONE, (("D", bar + i), ("D", row + j))) for row, bar in rows]
         # the normal-order shift of the diagonal gl elements: -N/2 on every monomial
-        terms = [(Fraction(-self.N, 2), ())] if kind == "gl" and i == j else []
-        for k in range(1, self.N + 1):
-            row, bar = (k - 1) * n, (self.kbar(k) - 1) * n
-            if kind == "gl":
-                terms.append((ONE, (("M", row + i), ("D", row + j))))
-            elif kind == "raise":
-                terms.append((ONE, (("M", row + i), ("M", bar + j))))
-            else:
-                terms.append((ONE, (("D", bar + i), ("D", row + j))))
-        return OperatorSpec(tuple(terms))
+        shift = [(Fraction(-self.N, 2), ())] if kind == "gl" and i == j else []
+        return OperatorSpec(tuple(shift + terms))
+
+    @cached_property
+    def _row_offsets(self):
+        """(row offset, kbar-row offset) of each row k = 1..N in the bit enumeration."""
+        n = self.n
+        return tuple(((k - 1) * n, (self.kbar(k) - 1) * n) for k in range(1, self.N + 1))
 
     def npos_oE_labels(self):
         cols = range(1, self.n + 1)
@@ -213,9 +215,8 @@ class ExteriorAlgebra:
                 raise ValidationError(f"row indices ({p}, {q}) out of range")
             if c == 0:
                 continue
-            c = Fraction(c)
-            for s in range(n):
-                terms.append((c, (("M", (p - 1) * n + s), ("D", (q - 1) * n + s))))
+            c, src, dst = Fraction(c), (p - 1) * n, (q - 1) * n
+            terms += [(c, (("M", src + s), ("D", dst + s))) for s in range(n)]
         return OperatorSpec(tuple(terms))
 
     def npos_oV_matrices(self):
@@ -278,17 +279,17 @@ class ExteriorAlgebra:
         """Relabel row indices of every factor, wedging them on right to left with signs."""
         out = {}
         for m, c in v.terms.items():
-            nm, sign = 0, 1
+            nm, below = 0, 0
             for bit in reversed(range(m.bit_length())):
                 if m >> bit & 1:
                     k, i = divmod(bit, self.n)
                     idx = self.index(row_map.get(k + 1, k + 1), i + 1)
                     if nm >> idx & 1:
                         raise ValidationError("row relabeling is not injective")
-                    sign *= _sign_below(nm, idx)
+                    below += (nm & ((1 << idx) - 1)).bit_count()
                     nm |= 1 << idx
-            out[nm] = out.get(nm, ZERO) + sign * c
-        return ExteriorVector(out)
+            out[nm] = out.get(nm, 0) + (-c if below & 1 else c)
+        return _nonzero(out)
 
     def gd_swap(self, v):
         """Action of the group element exchanging rows d and 2d (even N only)."""
@@ -298,9 +299,7 @@ class ExteriorAlgebra:
 
     def neg_id(self, v):
         """Action of -Id: each monomial scales by (-1)^degree."""
-        return ExteriorVector(
-            {m: -c if m.bit_count() & 1 else c for m, c in v.terms.items()}
-        )
+        return ExteriorVector._of({m: -c if m.bit_count() & 1 else c for m, c in v.terms.items()})
 
     # -- reports ---------------------------------------------------------------
 

@@ -420,7 +420,7 @@ def suite_thm52(n_values=(2, 3), big_n_max=4, seed=20240801):
         column_side = [*alg.column_raising.values(), *alg.column_cartan.values()]
         for _ in range(20):
             terms = {rng.getrandbits(n * big_n): rng.randint(-3, 3) for _ in range(3)}
-            v = ExteriorVector({m: c for m, c in terms.items()})
+            v = ExteriorVector(terms)
             row = rng.choice(row_side)
             column = rng.choice(column_side)
             if row.apply(column.apply(v)) != column.apply(row.apply(v)):
@@ -503,6 +503,26 @@ def suite_thm51_signs(n_values=(2, 3), even_n_values=(2, 4), odd_n_values=(1, 3)
         {"n_values": list(n_values), "even_N": list(even_n_values), "odd_N": list(odd_n_values)},
         checks,
     )
+
+
+def wedge_insert_reference(idx, x):
+    """wedge_insert as a signed accumulation over the monomials without idx."""
+    bit, out = 1 << idx, {}
+    for m, c in x.terms.items():
+        if not m & bit:
+            sign = -1 if (m & (bit - 1)).bit_count() & 1 else 1
+            out[m | bit] = out.get(m | bit, 0) + c * sign
+    return ExteriorVector(out)
+
+
+def contract_reference(idx, x):
+    """contract as a signed accumulation over the monomials holding idx."""
+    bit, out = 1 << idx, {}
+    for m, c in x.terms.items():
+        if m & bit:
+            sign = -1 if (m & (bit - 1)).bit_count() & 1 else 1
+            out[m & ~bit] = out.get(m & ~bit, 0) + c * sign
+    return ExteriorVector(out)
 
 
 def y_map_reference(t):

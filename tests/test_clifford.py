@@ -15,6 +15,7 @@ from spincactus.clifford import (
     wedge_insert,
 )
 from spincactus.errors import ValidationError
+from spincactus.suites import contract_reference, wedge_insert_reference
 from spincactus.weights import OrthWeight, Weight
 from spincactus.youngt import enumerate_gtp, f_map
 
@@ -54,6 +55,140 @@ def test_clifford_relations_random():
             assert md == v
         else:
             assert md.is_zero()
+
+
+def _assert_fractions(v):
+    assert all(type(c) is Fraction and c != 0 for c in v.terms.values())
+
+
+def test_wedge_and_contract_match_reference_on_every_small_monomial():
+    for mask in range(1 << 10):
+        v = ExteriorVector.monomial(mask, -3)
+        for idx in range(11):
+            for fast, slow in ((wedge_insert, wedge_insert_reference),
+                               (contract, contract_reference)):
+                got = fast(idx, v)
+                assert got == slow(idx, v)
+                _assert_fractions(got)
+
+
+def test_wedge_and_contract_match_reference_on_random_vectors():
+    rng = random.Random(20240807)
+    for trial in range(200):
+        nbits = rng.randint(1, 16)
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            c = rng.randint(-4, 4)
+            # half the vectors carry plain ints, half exact rationals
+            terms[rng.getrandbits(nbits)] = c if trial % 2 else Fraction(c, rng.choice((1, 2, 3)))
+        v = ExteriorVector(terms)
+        idx = rng.randrange(nbits + 1)
+        for fast, slow in ((wedge_insert, wedge_insert_reference), (contract, contract_reference)):
+            got = fast(idx, v)
+            assert got == slow(idx, v)
+            _assert_fractions(got)
+
+
+def test_every_operation_returns_fraction_coefficients():
+    ints = ExteriorVector({1: 1, 0b110: -2, 0b1000: 0})
+    assert ints.terms == {1: 1, 0b110: -2}
+    _assert_fractions(ints)
+    alg = ExteriorAlgebra(2, 2)
+    spec = alg.oe_operator(("gl", 1, 2)) + alg.oe_operator(("gl", 1, 1))
+    results = [
+        ExteriorVector({1: 1}) + ExteriorVector(),
+        ExteriorVector() + ExteriorVector({1: 1}),
+        ExteriorVector() - ints,
+        ints - ExteriorVector({1: 1}),
+        ints.scaled(3),
+        ints.scaled(Fraction(1, 2)),
+        alg.neg_id(ints),
+        alg.substitute_rows({1: 2, 2: 1}, ints),
+        alg.substitute_rows({1: 2}, ExteriorVector({1: 1, 0b100: 1})),
+        wedge_insert(3, ints),
+        contract(1, ints),
+        spec.apply(ints),
+        ExteriorVector.monomial(5, 2),
+    ]
+    for v in results:
+        assert not v.is_zero()
+        _assert_fractions(v)
+    # cancellation drops the monomial
+    assert (ints - ints).is_zero() and ints.scaled(0).is_zero()
+    assert alg.substitute_rows({1: 2}, ExteriorVector({1: 1, 0b100: -1})).is_zero()
+
+
+def _oe_operator_reference(alg, label):
+    """oe_operator built row by row with one kbar call each, the per-row offsets' reference."""
+    kind, i, j = label
+    n, i, j = alg.n, i - 1, j - 1
+    terms = [(Fraction(-alg.N, 2), ())] if kind == "gl" and i == j else []
+    for k in range(1, alg.N + 1):
+        row, bar = (k - 1) * n, (alg.kbar(k) - 1) * n
+        if kind == "gl":
+            terms.append((Fraction(1), (("M", row + i), ("D", row + j))))
+        elif kind == "raise":
+            terms.append((Fraction(1), (("M", row + i), ("M", bar + j))))
+        else:
+            terms.append((Fraction(1), (("D", bar + i), ("D", row + j))))
+    return OperatorSpec(tuple(terms))
+
+
+def _ov_operator_reference(alg, mat):
+    n, terms = alg.n, []
+    for (p, q), c in mat.items():
+        if c != 0:
+            for s in range(n):
+                terms.append((Fraction(c), (("M", (p - 1) * n + s), ("D", (q - 1) * n + s))))
+    return OperatorSpec(tuple(terms))
+
+
+def _assert_same_spec(got, want):
+    assert got.terms == want.terms
+    assert all(type(c) is Fraction for c, _ in got.terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_operator_tables_match_per_row_reference(n):
+    for big_n in range(1, 9):
+        alg = ExteriorAlgebra(n, big_n)
+        d, cols = alg.d, range(1, n + 1)
+        want = {
+            "column_raising": {str(label): _oe_operator_reference(alg, label)
+                               for label in alg.npos_oE_labels()},
+            "row_raising": {name: _ov_operator_reference(alg, mat)
+                            for name, mat in alg.npos_oV_matrices()},
+            "row_cartan": {f"t_{i}": _ov_operator_reference(alg, {(i, i): 1, (i + d, i + d): -1})
+                           for i in range(1, d + 1)},
+            "column_cartan": {f"h_{i}": _oe_operator_reference(alg, ("gl", i, i)) for i in cols},
+        }
+        for name, table in want.items():
+            got = getattr(alg, name)
+            assert list(got) == list(table)
+            for key, spec in table.items():
+                _assert_same_spec(got[key], spec)
+        labels = [("gl", i, j) for i in cols for j in cols]
+        labels += [
+            (kind, i, j) for kind in ("raise", "lower") for i in cols for j in cols if i != j
+        ]
+        for label in labels:
+            _assert_same_spec(alg.oe_operator(label), _oe_operator_reference(alg, label))
+
+
+def test_operator_builders_reject_bad_labels():
+    alg = ExteriorAlgebra(3, 4)
+    for label, message in [
+        (("gl", 0, 1), "column indices out of range"),
+        (("raise", 1, 4), "column indices out of range"),
+        (("shift", 1, 2), "unknown column-side label"),
+        (("raise", 2, 2), "raise operators need i != j"),
+        (("lower", 3, 3), "lower operators need i != j"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            alg.oe_operator(label)
+    with pytest.raises(ValidationError, match=r"row indices \(5, 1\) out of range"):
+        alg.ov_operator({(1, 2): 1, (5, 1): 1})
+    assert alg.ov_operator({(1, 2): 0}).terms == ()
 
 
 def test_coefficients_stay_dyadic():
