@@ -13,13 +13,14 @@ step must be one of the two dominant spinor weights.
 Dominance, Delta and the spinor step are asked of `weights` on coordinate tuples:
 a diagram is regular when r - l is dominant; a table walks its running sums once.
 Records are validated where they enter (the constructors, from_json, diagram_of_weight,
-steps_from_diagram_chain); enumerate_tables, whose every prefix is already checked,
+steps_from_diagram_chain); enumerate_tables, which tests each prefix state once,
 builds its tables through weights.trusted without re-validating them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from operator import add
 
@@ -202,27 +203,30 @@ def steps_from_diagram_chain(chain) -> CellTable:
 
 
 def enumerate_tables(shape: CellDiagram) -> list[CellTable]:
-    """All tables of the given shape, generated in descending lex order on flattened steps."""
+    """All tables of the given shape, generated in descending lex order on flattened steps.
+    moves(total, k) tests each prefix state once: its steps, in pool order, toward the shape."""
     n, big_n = shape.height, shape.length
     target = weight_of_diagram(shape).coords2
     steps_pool = spinor_weights(n)
-    first_pool = [mu for mu in steps_pool if is_dominant2(mu.coords2)]
     out = []
 
-    def reachable(total, k):
-        remaining = big_n - k
-        return all(abs(t - c) <= remaining for t, c in zip(target, total))
+    @cache
+    def moves(total, k):
+        remaining, found = big_n - k - 1, []
+        for mu in steps_pool:  # at k = 0 dominance keeps the two dominant first steps
+            new_total = tuple(map(add, total, mu.coords2))
+            if (is_dominant2(new_total)
+                    and all(abs(t - c) <= remaining for t, c in zip(target, new_total))
+                    and (remaining == 0 or moves(new_total, k + 1))):
+                found.append((mu, new_total))
+        return found
 
     def extend(prefix_steps, total, k):
         if k == big_n:
-            if total == target:
-                out.append(trusted(CellTable, tuple(prefix_steps)))
+            out.append(trusted(CellTable, prefix_steps))
             return
-        pool = first_pool if k == 0 else steps_pool
-        for mu in pool:
-            new_total = tuple(map(add, total, mu.coords2))
-            if is_dominant2(new_total) and reachable(new_total, k + 1):
-                extend(prefix_steps + [mu], new_total, k + 1)
+        for mu, new_total in moves(total, k):
+            extend(prefix_steps + (mu,), new_total, k + 1)
 
-    extend([], (0,) * n, 0)
+    extend((), (0,) * n, 0)
     return out

@@ -12,6 +12,7 @@ import random
 from .cactus import XiCache, act_on_table, word_to_permutation
 from .celldiag import (
     CellDiagram,
+    CellTable,
     diagram_of_weight,
     enumerate_delta,
     enumerate_tables,
@@ -33,6 +34,7 @@ from .youngt import (
     GTPattern,
     SSYTable,
     ShortYoungDiagram,
+    associated,
     count_sssyt,
     enumerate_gtp,
     enumerate_sssyt,
@@ -546,6 +548,78 @@ def j_map_reference(s):
     return GTPattern(tuple(betas), -z if s.chain[0].size() else z)
 
 
+def enumerate_tables_reference(shape):
+    """enumerate_tables as a plain search: every step tested at every node."""
+    n, big_n = shape.height, shape.length
+    target = weight_of_diagram(shape).coords2
+    steps_pool = spinor_weights(n)
+    out = []
+
+    def extend(prefix_steps, total, k):
+        if k == big_n:
+            if total == target:
+                out.append(CellTable(tuple(prefix_steps)))
+            return
+        for mu in steps_pool:
+            new_total = tuple(a + c for a, c in zip(total, mu.coords2))
+            if (is_dominant_d(Weight(new_total)) and (k or is_dominant_d(mu))
+                    and all(abs(t - c) <= big_n - k - 1 for t, c in zip(target, new_total))):
+                extend(prefix_steps + [mu], new_total, k + 1)
+
+    extend([], (0,) * n, 0)
+    return out
+
+
+def _level_options_reference(p, k, n):
+    """The members of SYD(k, n) p can record at level k, the recorded one first."""
+    if k >= 3:
+        coords2 = p.betas[p.top_rank - k].coords2
+        if any(c % 2 for c in coords2):
+            return []
+        candidates = [tuple(abs(c) // 2 for c in coords2 if c)]
+    elif k == 2:
+        candidates = [(abs(p.z),)] if p.z else [(), (1, 1)]
+    else:
+        candidates = [(1,)] if p.z < 0 else [(), (1,)]
+    options = []
+    for rows in candidates:
+        try:
+            options.append(ShortYoungDiagram(rows, k, n))
+        except ValidationError:
+            pass
+    if k >= 3 and options:
+        options.append(associated(options[0]))
+    return options
+
+
+def j_inverse_reference(p, v):
+    """j_inverse as a search: level k is the first of its options that grows into level
+    k+1 by a horizontal strip (and has the recorded parity below a self-associated level)."""
+    big_n = v.N
+    if p.top_rank != big_n:
+        raise ValidationError(f"pattern top rank {p.top_rank} does not match shape height {big_n}")
+    if big_n < 3:
+        raise ValidationError("patterns are only defined for chains of length >= 3")
+    if v not in _level_options_reference(p, big_n, v.n):
+        raise ValidationError("pattern top row does not encode the given shape")
+    chain = [v]
+    for k in range(big_n - 1, 0, -1):
+        upper = chain[-1]
+        parity = None
+        if k >= 2 and is_self_associated(upper):
+            parity = int(p.betas[big_n - k - 1].coords2[-1] < 0)
+        for cand in _level_options_reference(p, k, v.n):
+            if (parity is None or cand.size() % 2 == parity) and upper.horizontal_strip_over(cand):
+                chain.append(cand)
+                break
+        else:
+            raise ValidationError("pattern is not in the image of the chain bijection")
+    s = SSYTable(tuple(reversed(chain)))
+    if j_map(s) != p:
+        raise ValidationError("pattern is not in the image of the chain bijection")
+    return s
+
+
 def _all_cell_diagrams(n, big_n):
     """Independent enumeration of valid diagrams, straight from the invariants."""
     out = []
@@ -584,6 +658,25 @@ def _all_syd(n, big_n):
     return out
 
 
+def _steps_read_back(tables, seen):
+    """How many tables do not get their steps back from their diagram chain. Step k is
+    read off the diagrams of lengths k-1 and k, so each (k, prefix sum, step) not in seen
+    is checked once, on the shortest prefix of its table that holds all of them."""
+    bad = 0
+    for t in tables:
+        total, sums, last = (0,) * t.height, [], 0
+        for k, mu in enumerate(t.steps, 1):
+            if (k, total, mu) not in seen:
+                seen.add((k, total, mu))
+                last = k
+            total = tuple(a + c for a, c in zip(total, mu.coords2))
+            sums.append(total)
+        if last:
+            chain = [diagram_of_weight(Weight(c), k) for k, c in enumerate(sums[:last], 1)]
+            bad += steps_from_diagram_chain(chain).steps != t.steps[:last]
+    return bad
+
+
 def suite_bijections(
     kn_n_max=4,
     kn_big_n_max=7,
@@ -613,6 +706,7 @@ def suite_bijections(
                 and set(images) == set(_all_syd(n, big_n))
             )
             _check(checks, f"diagram<->partition n={n} N={big_n}", ok, f"{len(images)} diagrams")
+    seen = set()
     for n in range(2, chain_n_max + 1):
         for big_n in chain_big_ns:
             total_bad = 0
@@ -625,10 +719,9 @@ def suite_bijections(
                 patterns = enumerate_gtp(nu)
                 if not (len(tables) == len(chains) == len(patterns) == count_sssyt(nu)):
                     total_bad += 1
+                total_bad += _steps_read_back(tables, seen)
                 images = set()
                 for t in tables:
-                    if steps_from_diagram_chain(t.diagram_chain()) != t:
-                        total_bad += 1
                     s = y_map(t)
                     images.add(s)
                     if y_inverse(s) != t:

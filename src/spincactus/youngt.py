@@ -6,13 +6,14 @@ irreducible representations of the rank-N orthogonal group that occur here.
 The three indexing sets (cell tables, short Young tables, GT patterns) are
 connected by the bijections y_map and j_map below.
 
-Both read their data once: a step whose coordinate n+1-j is -1/2 (at odd n and j = 1: whose
-last one is +1/2) grows column j, and a GT row is a level's shorter diagram, doubled.
+All three read their data once: a step whose coordinate n+1-j is -1/2 (at odd n and j = 1:
+whose last one is +1/2) grows column j, a GT row is a level's shorter diagram, doubled, and
+j_inverse reads level k back as |beta_k|/2 or its associate.
 
 Records are validated where they enter: the constructors, from_json, f_map, y_map, y_inverse
 (through CellTable) and j_map. What this module derives from checked values (the enumerators,
-branch_syd, associated, f_inverse, syd_to_orthweight, _level_options, j_inverse's chain) is
-built through weights.trusted; j_inverse still compares its chain's j_map image with p.
+branch_syd, associated, f_inverse, syd_to_orthweight, j_inverse's chain) is built through
+weights.trusted; j_inverse checks each strip of its chain and compares its j_map image with p.
 """
 
 from __future__ import annotations
@@ -369,55 +370,50 @@ def j_map(s: SSYTable) -> GTPattern:
         raise AssertionError(f"j_map produced an invalid pattern: {exc}") from exc
 
 
-def _level_options(p: GTPattern, k: int, n: int) -> list[ShortYoungDiagram]:
-    """The members of SYD(k, n) p can record at level k, the recorded one first:
-    |beta_k|/2 then its associate at k >= 3 (none if a coordinate is odd), else from z."""
+def _readings(p: GTPattern, k: int):
+    """The two rows level k can have under p, the shorter first: |beta_k|/2 and its
+    associate at k >= 3 (None if a coordinate is odd), else read off z."""
     if k >= 3:
         coords2 = p.betas[p.top_rank - k].coords2
         if any(c % 2 for c in coords2):
-            return []
-        candidates = [tuple(abs(c) // 2 for c in coords2 if c)]
+            return None
+        rows = tuple(abs(c) // 2 for c in coords2 if c)
     elif k == 2:
-        candidates = [(abs(p.z),)] if p.z else [(), (1, 1)]
+        rows = (abs(p.z),) if p.z else ()
     else:
-        candidates = [(1,)] if p.z < 0 else [(), (1,)]
-    # every candidate is a partition; only the width and c_1 + c_2 <= k can fail
-    options = [trusted(ShortYoungDiagram, rows, k, n) for rows in candidates
-               if (not rows or rows[0] <= n) and _fits(rows, k)]
-    if k >= 3 and options:
-        options.append(associated(options[0]))
-    return options
+        rows = (1,) if p.z < 0 else ()
+    return rows, (_associate_rows(rows, k) if k > 1 else (1,))
 
 
 def j_inverse(p: GTPattern, v: ShortYoungDiagram) -> SSYTable:
     """The unique chain of shape v mapping to p; raises if p is not in the image.
 
-    Read top down, level k is the first of its _level_options that grows into
-    level k+1 by a horizontal strip. Both options can do so only below a
-    self-associated level k+1; their sizes differ by one, and j_map recorded
-    the odd one as a negative last coordinate of beta_{k+1}. A final j_map
-    comparison guards the result."""
+    Read top down, level k is one of its two _readings: a strip adds at most one box to the
+    first column, so the shorter one unless it is too short. Both fit only below a
+    self-associated level k+1; their sizes differ by one, and j_map recorded the odd one as
+    a negative last coordinate of beta_{k+1}. A final j_map comparison guards the result."""
     big_n = v.N
     if p.top_rank != big_n:
         raise ValidationError(f"pattern top rank {p.top_rank} does not match shape height {big_n}")
     if big_n < 3:
         raise ValidationError("patterns are only defined for chains of length >= 3")
-    if v not in _level_options(p, big_n, v.n):
+    readings = _readings(p, big_n)
+    if readings is None or v.rows not in readings:
         raise ValidationError("pattern top row does not encode the given shape")
     chain = [v]
     for k in range(big_n - 1, 0, -1):
-        upper = chain[-1]
-        parity = None
-        if k >= 2 and is_self_associated(upper):
-            parity = int(p.betas[big_n - k - 1].coords2[-1] < 0)
-        for cand in _level_options(p, k, v.n):
-            fits = parity is None or cand.size() % 2 == parity
-            if fits and upper.horizontal_strip_over(cand):
-                chain.append(cand)
-                break
-        else:
+        upper, readings = chain[-1], _readings(p, k)
+        if readings is None:
             raise ValidationError("pattern is not in the image of the chain bijection")
-    s = trusted(SSYTable, tuple(reversed(chain)))  # every strip was checked above
+        rows, alt = readings
+        if k >= 3 and is_self_associated(upper):
+            rows = rows if sum(rows) % 2 == (p.betas[big_n - k - 1].coords2[-1] < 0) else alt
+        elif len(rows) < len(upper.rows) - 1:
+            rows = alt
+        chain.append(trusted(ShortYoungDiagram, rows, k, v.n))
+        if not upper.horizontal_strip_over(chain[-1]):
+            raise ValidationError("pattern is not in the image of the chain bijection")
+    s = trusted(SSYTable, tuple(reversed(chain)))
     if j_map(s) != p:
         raise ValidationError("pattern is not in the image of the chain bijection")
     return s

@@ -12,6 +12,7 @@ from spincactus.celldiag import (
     weight_of_diagram,
 )
 from spincactus.errors import ValidationError
+from spincactus.suites import enumerate_tables_reference
 from spincactus.weights import Weight, omega_minus, omega_plus, spinor_weights, is_dominant_d
 
 WORKED_WEIGHT = Weight((3, 1, 1, -1))
@@ -218,6 +219,15 @@ def test_enumerate_tables_order_is_descending():
             for lam in enumerate_delta(n, big_n):
                 flats = [t.flat2() for t in enumerate_tables(diagram_of_weight(lam, big_n))]
                 assert flats == sorted(flats, reverse=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerate_tables_matches_the_reference_in_order(n):
+    # the memoized walk lists what the plain search lists, in the same order
+    for big_n in range(1, 7):
+        for lam in enumerate_delta(n, big_n):
+            shape = diagram_of_weight(lam, big_n)
+            assert enumerate_tables(shape) == enumerate_tables_reference(shape), shape
 
 
 def test_table_json_round_trip():

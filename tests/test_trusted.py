@@ -24,7 +24,7 @@ from spincactus.youngt import (
     GTPattern,
     SSYTable,
     ShortYoungDiagram,
-    _level_options,
+    _readings,
     associated,
     branch_syd,
     enumerate_gtp,
@@ -162,18 +162,6 @@ def oracle_candidates(p, k):
     return [(1,)] if p.z < 0 else [(), (1,)]
 
 
-def oracle_level_options(p, k, n):
-    options = []
-    for rows in oracle_candidates(p, k):
-        try:
-            options.append(ShortYoungDiagram(rows, k, n))
-        except ValidationError:
-            pass
-    if k >= 3 and options:
-        options.append(oracle_associated(options[0]))
-    return options
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_branch_syd_lists_what_the_try_except_listed(n):
     for big_n in range(1, 8):
@@ -193,22 +181,25 @@ def _patterns():
         yield GTPattern.from_json({"betas2": betas2, "z": z})
 
 
-def test_level_options_list_what_the_try_except_listed():
-    # a level's options depend on beta_k alone at k >= 3 and on z below: one pattern per input
+def test_readings_are_the_candidates_and_their_associate():
+    # a level's readings depend on beta_k alone at k >= 3 and on z below: one pattern per
+    # input. The try/except listed the candidates, then the associate of the first at k >= 3
     levels = {}
     for p in _patterns():
         for k in range(p.top_rank, 0, -1):
             levels.setdefault((k, p.betas[p.top_rank - k] if k >= 3 else p.z), p)
-    refused = 0
+    odd = 0
     for (k, _), p in levels.items():
-        for n in (2, 3, 4, 5):
-            want = oracle_level_options(p, k, n)
-            assert _level_options(p, k, n) == want, (p, k, n)
-            for v in want:
-                assert_valid(v)
-            accepted = len(want) - (k >= 3 and len(want) > 0)
-            refused += accepted < len(oracle_candidates(p, k))
-    assert refused  # some candidates were too wide or too tall and were left out
+        candidates = oracle_candidates(p, k)
+        want = None
+        if candidates:
+            rows = candidates[0]
+            alt = (oracle_associated(ShortYoungDiagram(rows, k, max((2,) + rows[:1]))).rows
+                   if k >= 3 else candidates[-1])
+            want = (rows, alt)
+        assert _readings(p, k) == want, (p, k)
+        odd += want is None
+    assert odd  # some levels have an odd coordinate and no reading
 
 
 # -- the sites that still validate ---------------------------------------------------

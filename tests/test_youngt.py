@@ -9,12 +9,19 @@ from spincactus.celldiag import (
     table_from_steps,
 )
 from spincactus.errors import ValidationError
-from spincactus.suites import j_map_reference, y_inverse_reference, y_map_reference
+from spincactus.suites import (
+    _all_syd,
+    j_inverse_reference,
+    j_map_reference,
+    y_inverse_reference,
+    y_map_reference,
+)
 from spincactus.weights import OrthWeight, Weight
 from spincactus.youngt import (
     GTPattern,
     SSYTable,
     ShortYoungDiagram,
+    _child_ranges,
     _interlacing_children,
     associated,
     branch_syd,
@@ -384,6 +391,55 @@ def test_gtp_validation():
         GTPattern((OrthWeight((2, 0), 4), OrthWeight((2,), 3)), 4)  # z too large
     p = GTPattern((OrthWeight((8, -2), 4), OrthWeight((4,), 3)), -2)
     assert GTPattern.from_json(p.to_json()) == p
+
+
+def _outcome(inverse, p, v):
+    try:
+        return inverse(p, v)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _all_patterns(tops):
+    """Every valid pattern under the given top rows: each coordinate of a lower row steps
+    by 1 through its interlacing bounds, so rows of either parity occur."""
+    stacks = [(top,) for top in tops]
+    for _ in range(tops[0].k - 3):
+        stacks = [chain + (OrthWeight(row, chain[-1].k - 1),) for chain in stacks
+                  for row in product(*(range(hi, lo - 1, -1)
+                                       for lo, hi in _child_ranges(chain[-1])))]
+    return [GTPattern(chain, z) for chain in stacks
+            for z in range(chain[-1].coords2[0] // 2, -(chain[-1].coords2[0] // 2) - 1, -1)]
+
+
+@pytest.mark.parametrize("big_n", [3, 4, 5, 6])
+def test_j_inverse_matches_the_reference_on_every_pair(big_n):
+    # patterns: the images of every shape of width n <= 4, and at N <= 5 every valid
+    # pattern under their top rows; shapes: every shape of width n <= 4. Both forms refuse
+    # a shape its top row cannot encode (neither |beta_N|/2 nor its associate) before they
+    # read another row, so such pairs are compared once per top row; all others in full
+    shapes = [v for n in (2, 3, 4) for v in _all_syd(n, big_n)]
+    patterns = dict.fromkeys(p for v in shapes for p in enumerate_gtp(v))
+    if big_n <= 5:
+        tops = list(dict.fromkeys(p.betas[0] for p in patterns))
+        patterns.update(dict.fromkeys(_all_patterns(tops)))
+    by_top = {}
+    for p in patterns:
+        by_top.setdefault(p.betas[0].coords2, []).append(p)
+    outcomes = []
+    for top, group in by_top.items():
+        readings = set()
+        if not any(c % 2 for c in top):
+            encoded = syd([abs(c) // 2 for c in top if c], big_n, 4)
+            readings = {encoded.rows, associated(encoded).rows}
+        for v in shapes:
+            for p in group if v.rows in readings else group[:1]:
+                got = _outcome(j_inverse, p, v)
+                assert got == _outcome(j_inverse_reference, p, v), (p, v)
+                outcomes.append(got if isinstance(got, str) else "found")
+    assert outcomes.count("found") == sum(len(enumerate_gtp(v)) for v in shapes)
+    if big_n in (4, 5):  # patterns outside the image pass the top row and fail below it
+        assert "pattern is not in the image of the chain bijection" in outcomes
 
 
 def test_j_inverse_rejects_foreign_pattern():
