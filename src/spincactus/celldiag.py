@@ -11,7 +11,8 @@ sums walk through the chain. Every prefix sum must be dominant and the first
 step must be one of the two dominant spinor weights.
 
 Dominance, Delta and the spinor step are asked of `weights` on coordinate tuples:
-a diagram is regular when r - l is dominant; a table walks its running sums once.
+a diagram is regular when r - l is dominant; a table checks each step and its running
+sum in one pass over the steps, reporting a bad step before a bad prefix sum.
 Records are validated where they enter (the constructors, from_json, diagram_of_weight,
 steps_from_diagram_chain); enumerate_tables, which tests each prefix state once,
 builds its tables through weights.trusted without re-validating them.
@@ -25,7 +26,7 @@ from itertools import accumulate
 from operator import add
 
 from .errors import ValidationError
-from .weights import (Weight, as_int, delta_violation, is_dominant2, is_spinor2, spinor_weights,
+from .weights import (Weight, delta_violation, int_tuple, is_dominant2, is_spinor2, spinor_weights,
                       trusted)
 
 
@@ -35,8 +36,8 @@ class CellDiagram:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "l", tuple(as_int(x) for x in self.l))
-        object.__setattr__(self, "r", tuple(as_int(x) for x in self.r))
+        object.__setattr__(self, "l", int_tuple(self.l))
+        object.__setattr__(self, "r", int_tuple(self.r))
         n = len(self.r)
         if n < 2 or len(self.l) != n:
             raise ValidationError("diagram needs rows l, r of equal length >= 2")
@@ -115,11 +116,6 @@ def contains(d1: CellDiagram, d2: CellDiagram) -> bool:
     )
 
 
-def _running_sums(steps):
-    """The doubled prefix sums mu_1 + ... + mu_k of a step sequence, k = 1..N."""
-    return accumulate((mu.coords2 for mu in steps), lambda total, c: tuple(map(add, total, c)))
-
-
 @dataclass(frozen=True)
 class CellTable:
     """A regular cell table, stored as its step sequence of spinor weights."""
@@ -127,20 +123,25 @@ class CellTable:
     steps: tuple[Weight, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not self.steps:
+        steps = tuple(self.steps)
+        object.__setattr__(self, "steps", steps)
+        if not steps:
             raise ValidationError("a table has at least one step")
-        n = self.steps[0].rank
-        for k, mu in enumerate(self.steps, 1):
-            if mu.rank != n:
+        n, bad = steps[0].rank, 0
+        total = (0,) * n
+        for k, mu in enumerate(steps, 1):  # a bad prefix sum is reported after the steps
+            c = mu.coords2
+            if len(c) != n:
                 raise ValidationError("all steps must share one rank")
-            if not is_spinor2(mu.coords2):
+            if not is_spinor2(c):
                 raise ValidationError(f"step {k} is not a spinor weight: {mu}")
-        if not is_dominant2(self.steps[0].coords2):
-            raise ValidationError(f"first step must be one of the two dominant spinor weights, got {self.steps[0]}")
-        for k, total in enumerate(_running_sums(self.steps), 1):
-            if not is_dominant2(total):
-                raise ValidationError(f"prefix sum at position {k} is not dominant")
+            total = tuple(map(add, total, c))
+            if not (bad or is_dominant2(total)):
+                bad = k
+        if bad == 1:
+            raise ValidationError(f"first step must be one of the two dominant spinor weights, got {steps[0]}")
+        if bad:
+            raise ValidationError(f"prefix sum at position {bad} is not dominant")
 
     @property
     def length(self):
@@ -158,10 +159,8 @@ class CellTable:
 
     def diagram_chain(self) -> list[CellDiagram]:
         """The nested diagrams of the prefix sums, lengths 1..N."""
-        return [
-            diagram_of_weight(Weight(total), k)
-            for k, total in enumerate(_running_sums(self.steps), 1)
-        ]
+        sums = accumulate((mu.coords2 for mu in self.steps), lambda t, c: tuple(map(add, t, c)))
+        return [diagram_of_weight(Weight(total), k) for k, total in enumerate(sums, 1)]
 
     def prefix(self, k: int) -> "CellTable":
         return CellTable(self.steps[:k])

@@ -4,8 +4,9 @@ All weights live in (1/2)Z^n and are stored as doubled integers, so every
 computation in the package is exact. A weight (3/2, 1/2, 1/2, -1/2) is the
 coordinate tuple ``coords2 = (3, 1, 1, -1)``.
 
-Each weight rule is stated once here, on coordinate tuples where it can be:
-dominance (``is_dominant2``), the spinor step (``is_spinor2``), Delta (``delta_violation``).
+Each weight rule is stated once here, as one pass over a coordinate tuple where it can be:
+dominance (``is_dominant2``), the spinor step (``is_spinor2``), Delta (``delta_violation``)
+and the records' integer check (``int_tuple``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ def as_int(x):
     return x
 
 
+def int_tuple(values):
+    """values as a tuple of ints; the first entry that is not one raises as in as_int."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            as_int(x)
+    return values
+
+
 def trusted(cls, *values):
     """A frozen record of cls from field values its producer guarantees valid, without
     running __post_init__. Internal: the public constructors and from_json validate."""
@@ -41,7 +51,7 @@ class Weight:
     coords2: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords2", tuple(as_int(c) for c in self.coords2))
+        object.__setattr__(self, "coords2", int_tuple(self.coords2))
         if len(self.coords2) < 2:
             raise ValidationError(f"rank must be at least 2, got {len(self.coords2)}")
 
@@ -87,7 +97,7 @@ class OrthWeight:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coords2", tuple(as_int(c) for c in self.coords2))
+        object.__setattr__(self, "coords2", int_tuple(self.coords2))
         if self.k < 1:
             raise ValidationError(f"ambient rank must be positive, got {self.k}")
         if len(self.coords2) != self.k // 2:
@@ -123,7 +133,7 @@ def is_dominant_d(w: Weight) -> bool:
 
 def is_spinor2(c) -> bool:
     """True iff every doubled coordinate is +-1: a weight of the basic spin crystal."""
-    return all(x == 1 or x == -1 for x in c)
+    return {1, -1}.issuperset(c)
 
 
 def spinor_weights(n: int) -> tuple[Weight, ...]:

@@ -11,19 +11,22 @@ whose last one is +1/2) grows column j, a GT row is a level's shorter diagram, d
 j_inverse reads level k back as |beta_k|/2 or its associate.
 
 Records are validated where they enter: the constructors, from_json, f_map, y_map, y_inverse
-(through CellTable) and j_map. What this module derives from checked values (the enumerators,
-branch_syd, associated, f_inverse, syd_to_orthweight, j_inverse's chain) is built through
-weights.trusted; j_inverse checks each strip of its chain and compares its j_map image with p.
+(through CellTable) and j_map. Each rule is one pass over row tuples: a diagram's rows, each
+strip of a chain (_strip) and each pair of pattern rows (interlaces). What this module derives
+from checked values (the enumerators, branch_syd, associated, f_inverse, syd_to_orthweight,
+j_inverse's chain) is built through weights.trusted; j_inverse checks each strip on the rows
+before it builds the level, and compares its j_map image with p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import ge
 
 from .celldiag import CellDiagram, CellTable
 from .errors import ValidationError
-from .weights import OrthWeight, Weight, as_int, trusted
+from .weights import OrthWeight, Weight, as_int, int_tuple, trusted
 
 
 @dataclass(frozen=True)
@@ -35,20 +38,18 @@ class ShortYoungDiagram:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(as_int(x) for x in self.rows))
+        rows = int_tuple(self.rows)
+        object.__setattr__(self, "rows", rows)
         if self.N < 0 or self.n < 2:
             raise ValidationError("need ambient height >= 0 and width bound >= 2")
-        rows = self.rows
-        if any(x <= 0 for x in rows):
+        if min(rows, default=1) <= 0:
             raise ValidationError("row lengths must be positive (drop trailing zeros)")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        if not all(map(ge, rows, rows[1:])):
             raise ValidationError("rows must be weakly decreasing")
         if rows and rows[0] > self.n:
             raise ValidationError(f"at most {self.n} columns allowed, got {rows[0]}")
         if not _fits(rows, self.N):
-            raise ValidationError(
-                f"first two columns sum to {len(rows) + self.col(2)} > {self.N}"
-            )
+            raise ValidationError(f"first two columns sum to {len(rows) + self.col(2)} > {self.N}")
 
     def col(self, j):
         """Length of the j-th column (1-based)."""
@@ -60,17 +61,9 @@ class ShortYoungDiagram:
     def size(self):
         return sum(self.rows)
 
-    def contains(self, other):
-        if len(other.rows) > len(self.rows):
-            return False
-        return all(o <= s for s, o in zip(self.rows, other.rows))
-
     def horizontal_strip_over(self, other):
         """True iff self contains other and self - other has no two cells in a column."""
-        if not self.contains(other):
-            return False
-        padded = other.rows + (0,) * (len(self.rows) - len(other.rows))
-        return all(padded[i] >= self.rows[i + 1] for i in range(len(self.rows) - 1))
+        return _strip(self.rows, other.rows)
 
     def to_json(self):
         return {"rows": list(self.rows), "N": self.N, "n": self.n}
@@ -82,7 +75,14 @@ class ShortYoungDiagram:
 
 def _fits(rows, big_n):
     """The short-diagram rule on a partition: its first two columns sum to at most big_n."""
-    return len(rows) + sum(x > 1 for x in rows) <= big_n
+    return 2 * len(rows) - rows.count(1) <= big_n
+
+
+def _strip(big, small):
+    """The horizontal-strip rule on partitions, rows zero padded: big_i >= small_i >= big_{i+1}.
+    Rows are positive, so small has len(big) - 1 or len(big) rows."""
+    return (len(big) - 1 <= len(small) <= len(big) and all(map(ge, big, small))
+            and all(map(ge, small, big[1:])))
 
 
 def _rows_from_columns(cols):
@@ -162,23 +162,23 @@ def _child_ranges(beta: OrthWeight) -> list[tuple[int, int]]:
     The branching rule of Molev (arXiv math/0211289) is the chain
     b_1 >= m_1 >= b_2 >= m_2 >= ..., so b_j >= m_j >= b_{j+1}; it ends with
     b_d >= |m_d| at odd k and with m_{d-1} >= |b_d| at even k. Every bound
-    depends on beta alone.
+    depends on beta alone; interlaces checks the same chain on the two rows.
     """
     b = beta.coords2
-    d = len(b)
-    if beta.k % 2 == 1:
-        return [(b[j + 1], b[j]) for j in range(d - 1)] + [(-b[-1], b[-1])]
-    if d < 2:
-        return []
-    return [(b[j + 1], b[j]) for j in range(d - 2)] + [(abs(b[-1]), b[-2])]
+    if beta.k % 2:
+        return [*zip(b[1:], b), (-b[-1], b[-1])]
+    return [*zip(b[1:-1], b), (abs(b[-1]), b[-2])] if len(b) > 1 else []
 
 
 def interlaces(beta: OrthWeight, mu: OrthWeight) -> bool:
-    """The branching condition from rank k down to rank k-1: every coordinate
-    of mu lies within its bound from _child_ranges(beta)."""
+    """The branching condition from rank k down to rank k-1: b_j >= m_j >= b_{j+1}
+    along the rows, ending as in _child_ranges."""
     if beta.k != mu.k + 1:
         raise ValidationError(f"ranks must be adjacent, got {beta.k} and {mu.k}")
-    return all(lo <= m <= hi for (lo, hi), m in zip(_child_ranges(beta), mu.coords2))
+    b, m = beta.coords2, mu.coords2
+    if beta.k % 2:
+        return all(map(ge, b, m)) and all(map(ge, m, b[1:])) and b[-1] >= abs(m[-1])
+    return len(b) < 2 or (all(map(ge, b, m)) and all(map(ge, m, b[1:-1])) and m[-1] >= abs(b[-1]))
 
 
 def branch_syd(v: ShortYoungDiagram) -> list[ShortYoungDiagram]:
@@ -211,7 +211,7 @@ class SSYTable:
             if v.n != n:
                 raise ValidationError("all chain entries must share one width bound")
         for k in range(1, len(self.chain)):
-            if not self.chain[k].horizontal_strip_over(self.chain[k - 1]):
+            if not _strip(self.chain[k].rows, self.chain[k - 1].rows):
                 raise ValidationError(
                     f"entry {k + 1} does not grow from entry {k} by a horizontal strip"
                 )
@@ -232,12 +232,8 @@ class SSYTable:
         width = data.get("n", n)
         if width is None:
             raise ValidationError("width bound n is required to read a chain")
-        return cls(
-            tuple(
-                ShortYoungDiagram(tuple(rows), k, as_int(width))
-                for k, rows in enumerate(data["chain"], 1)
-            )
-        )
+        return cls(tuple(ShortYoungDiagram(tuple(rows), k, as_int(width))
+                         for k, rows in enumerate(data["chain"], 1)))
 
 
 def enumerate_sssyt(v: ShortYoungDiagram) -> list[SSYTable]:
@@ -322,9 +318,7 @@ class GTPattern:
             raise ValidationError("the last row must have rank 3")
         for upper, lower in zip(self.betas, self.betas[1:]):
             if not interlaces(upper, lower):
-                raise ValidationError(
-                    f"rows at ranks {upper.k}, {lower.k} do not interlace"
-                )
+                raise ValidationError(f"rows at ranks {upper.k}, {lower.k} do not interlace")
         if self.betas[-1].coords2[0] < 2 * abs(self.z):
             raise ValidationError("the rank-3 row must dominate |z|")
 
@@ -338,12 +332,8 @@ class GTPattern:
     @classmethod
     def from_json(cls, data):
         top = len(data["betas2"]) + 2
-        return cls(
-            tuple(
-                OrthWeight(tuple(c), top - off) for off, c in enumerate(data["betas2"])
-            ),
-            data["z"],
-        )
+        return cls(tuple(OrthWeight(tuple(c), top - off) for off, c in enumerate(data["betas2"])),
+                   data["z"])
 
 
 def j_map(s: SSYTable) -> GTPattern:
@@ -358,12 +348,11 @@ def j_map(s: SSYTable) -> GTPattern:
         if 2 * len(rows) > k:
             rows = _associate_rows(rows, k)
         coords = [2 * x for x in rows] + [0] * (k // 2 - len(rows))
-        if 2 * len(rows) == k and s.chain[k - 2].size() % 2:  # self-associated, odd below
+        if 2 * len(rows) == k and sum(s.chain[k - 2].rows) % 2:  # self-associated, odd below
             coords[-1] = -coords[-1]
         betas.append(trusted(OrthWeight, tuple(coords), k))
-    z = shorter(s.chain[1]).size()
-    if s.chain[0].size() != 0:
-        z = -z
+    low = s.chain[1].rows  # level 2 is (), (a,) or (1, 1), whose shorter diagram is ()
+    z = (sum(low) if len(low) < 2 else 0) * (-1 if s.chain[0].rows else 1)
     try:
         return GTPattern(tuple(betas), z)
     except ValidationError as exc:  # pragma: no cover - guaranteed for valid input
@@ -400,19 +389,20 @@ def j_inverse(p: GTPattern, v: ShortYoungDiagram) -> SSYTable:
     readings = _readings(p, big_n)
     if readings is None or v.rows not in readings:
         raise ValidationError("pattern top row does not encode the given shape")
-    chain = [v]
+    chain, upper = [v], v.rows
     for k in range(big_n - 1, 0, -1):
-        upper, readings = chain[-1], _readings(p, k)
+        readings = _readings(p, k)
         if readings is None:
             raise ValidationError("pattern is not in the image of the chain bijection")
         rows, alt = readings
-        if k >= 3 and is_self_associated(upper):
+        if k >= 3 and 2 * len(upper) == k + 1:  # below a self-associated level
             rows = rows if sum(rows) % 2 == (p.betas[big_n - k - 1].coords2[-1] < 0) else alt
-        elif len(rows) < len(upper.rows) - 1:
+        elif len(rows) < len(upper) - 1:
             rows = alt
-        chain.append(trusted(ShortYoungDiagram, rows, k, v.n))
-        if not upper.horizontal_strip_over(chain[-1]):
+        if not _strip(upper, rows):
             raise ValidationError("pattern is not in the image of the chain bijection")
+        chain.append(trusted(ShortYoungDiagram, rows, k, v.n))
+        upper = rows
     s = trusted(SSYTable, tuple(reversed(chain)))
     if j_map(s) != p:
         raise ValidationError("pattern is not in the image of the chain bijection")

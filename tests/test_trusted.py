@@ -352,6 +352,62 @@ INVALID = [
     (lambda: j_inverse(GTPattern.from_json({"betas2": [[2], [2]], "z": 1}),
                        ShortYoungDiagram((1,), 5, 2)),
      "o_4 weights have 2 coordinates, got 1"),
+    # each rule checked in one pass over the record's tuples: the entry named is the
+    # first offending one, and a bad step wins over a bad prefix sum before it. Explicit
+    # ids keep the ids of the cases above when a message repeats
+    pytest.param(lambda: Weight.from_json([1, 1.5]), "expected an integer, got 1.5",
+                 id="float-in-Weight"),
+    pytest.param(lambda: Weight((1.5, True)), "expected an integer, got 1.5",
+                 id="first-of-two-non-ints-in-Weight"),
+    pytest.param(lambda: Weight((True,)), "expected an integer, got True", id="bool-in-Weight"),
+    pytest.param(lambda: OrthWeight((2, 2.0), 4), "expected an integer, got 2.0",
+                 id="float-in-OrthWeight"),
+    pytest.param(lambda: OrthWeight((False,), 3), "expected an integer, got False",
+                 id="bool-in-OrthWeight"),
+    pytest.param(lambda: ShortYoungDiagram.from_json({"rows": [2, 1.0], "N": 4, "n": 4}),
+                 "expected an integer, got 1.0", id="float-in-ShortYoungDiagram"),
+    pytest.param(lambda: ShortYoungDiagram((True,), -1, 2), "expected an integer, got True",
+                 id="bool-in-ShortYoungDiagram-before-its-height"),
+    pytest.param(lambda: CellTable.from_json({"steps2": [[1, 1], [1, 1, 1]]}),
+                 "all steps must share one rank", id="CellTable-step-of-another-rank"),
+    pytest.param(lambda: CellTable.from_json({"steps2": [[1, 1], [-1, 1], [1, 1, 1]]}),
+                 "all steps must share one rank", id="CellTable-bad-rank-after-bad-prefix"),
+    pytest.param(lambda: CellTable.from_json({"steps2": [[-1, 1], [3, 1]]}),
+                 "step 2 is not a spinor weight: (3/2, 1/2)",
+                 id="CellTable-bad-step-after-bad-first-step"),
+    pytest.param(lambda: CellTable.from_json(
+                     {"steps2": [[1, 1], [1, -1], [-1, 1], [-1, 1], [-1, -1]]}),
+                 "prefix sum at position 4 is not dominant",
+                 id="CellTable-first-of-two-bad-prefixes"),
+    pytest.param(lambda: SSYTable.from_json({"chain": [[1], [], [1]], "n": 2}),
+                 "entry 2 does not grow from entry 1 by a horizontal strip",
+                 id="SSYTable-strip-at-first-level"),
+    pytest.param(lambda: SSYTable.from_json({"chain": [[], [1], [1], [1, 1, 1]], "n": 2}),
+                 "entry 4 does not grow from entry 3 by a horizontal strip",
+                 id="SSYTable-strip-at-last-level"),
+    # j_inverse on patterns only the package could build: level N-1 fails its strip, and
+    # level 2, the last that can (level 1 always fits under level 2's reading)
+    pytest.param(lambda: j_inverse(
+                     trusted(GTPattern, (OrthWeight((4, 0), 4), OrthWeight((6,), 3)), 0),
+                     ShortYoungDiagram((2,), 4, 2)),
+                 "pattern is not in the image of the chain bijection",
+                 id="j_inverse-strip-at-first-level"),
+    pytest.param(lambda: j_inverse(trusted(GTPattern, (OrthWeight((2,), 3),), 2),
+                                   ShortYoungDiagram((1,), 3, 2)),
+                 "pattern is not in the image of the chain bijection",
+                 id="j_inverse-strip-at-last-level"),
+    pytest.param(lambda: GTPattern.from_json({"betas2": [[4, 2], [6, 0], [2]], "z": 0}),
+                 "rows at ranks 5, 4 do not interlace", id="interlacing-odd-upper-bound"),
+    pytest.param(lambda: GTPattern.from_json({"betas2": [[4, 2], [0, 0], [0]], "z": 0}),
+                 "rows at ranks 5, 4 do not interlace", id="interlacing-odd-lower-bound"),
+    pytest.param(lambda: GTPattern.from_json({"betas2": [[4, 2], [4, -4], [4]], "z": 0}),
+                 "rows at ranks 5, 4 do not interlace", id="interlacing-odd-fork"),
+    pytest.param(lambda: GTPattern.from_json({"betas2": [[2, -2], [0]], "z": 0}),
+                 "rows at ranks 4, 3 do not interlace", id="interlacing-even-fork"),
+    pytest.param(lambda: GTPattern.from_json({"betas2": [[4, 2], [2, 4], [2]], "z": 0}),
+                 "(2, 4) is not dominant for o_4", id="GTPattern-non-dominant-rank-4-row"),
+    pytest.param(lambda: GTPattern.from_json({"betas2": [[2, 2], [-2]], "z": 0}),
+                 "(-2,) is not dominant for o_3", id="GTPattern-non-dominant-rank-3-row"),
 ]
 
 

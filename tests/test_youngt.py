@@ -23,6 +23,7 @@ from spincactus.youngt import (
     ShortYoungDiagram,
     _child_ranges,
     _interlacing_children,
+    _strip,
     associated,
     branch_syd,
     count_sssyt,
@@ -181,6 +182,24 @@ def test_interlaces():
         interlaces(OrthWeight((8, 2), 5), OrthWeight((2,), 3))
 
 
+def test_strip_is_the_contains_and_pad_rule():
+    # every pair of partitions of width <= 4 and length <= 5, against the rule as
+    # horizontal_strip_over stated it: containment, then the zero-padded smaller rows
+    # bounding the next row of the bigger one
+    parts = [p for length in range(6) for p in product(range(4, 0, -1), repeat=length)
+             if list(p) == sorted(p, reverse=True)]
+    assert len(parts) == 126
+    strips = 0
+    for big in parts:
+        for small in parts:
+            contains = len(small) <= len(big) and all(s <= b for b, s in zip(big, small))
+            padded = small + (0,) * (len(big) - len(small))
+            want = contains and all(padded[i] >= big[i + 1] for i in range(len(big) - 1))
+            assert _strip(big, small) is want, (big, small)
+            strips += want
+    assert 0 < strips < len(parts) ** 2
+
+
 def test_branch_listed_eight():
     got = branch_syd(syd((4, 1), 4, 4))
     assert [v.rows for v in got] == [
@@ -297,15 +316,49 @@ def test_y_map_bijective_small():
 @pytest.mark.parametrize("n,big_n", [(n, big_n) for n in (2, 3, 4) for big_n in range(1, 7)])
 def test_maps_match_the_composed_references(n, big_n):
     # y_map and y_inverse read columns off the steps and j_map reads rows off the levels;
-    # the references compose f_map, f_inverse, diagram chains and syd_to_orthweight
+    # the references compose f_map, f_inverse, diagram chains and syd_to_orthweight. Level
+    # k of a reference reads only the prefix sum at k (y_map), or the rows of levels k-1
+    # and k (y_inverse, and the rank-k row of j_map; its z reads levels 1 and 2), so each
+    # distinct level is computed once, as the last level of the reference on the first
+    # prefix that holds it. The first table and chain of each shape are compared whole
+    memo = {}
+
+    def once(key, level):
+        if key not in memo:
+            memo[key] = level()
+        return memo[key]
+
     for lam in enumerate_delta(n, big_n):
         shape = diagram_of_weight(lam, big_n)
-        for t in enumerate_tables(shape):
-            assert y_map(t) == y_map_reference(t), t
-        for s in enumerate_sssyt(f_map(shape)):
-            assert y_inverse(s) == y_inverse_reference(s), s
+        tables = enumerate_tables(shape)
+        assert y_map(tables[0]) == y_map_reference(tables[0])
+        for t in tables:
+            total, levels = (0,) * n, []
+            for k, mu in enumerate(t.steps, 1):
+                total = tuple(a + c for a, c in zip(total, mu.coords2))
+                levels.append(once((k, total), lambda: y_map_reference(t.prefix(k)).chain[-1]))
+            assert y_map(t).chain == tuple(levels), t
+        chains = enumerate_sssyt(f_map(shape))
+        assert y_inverse(chains[0]) == y_inverse_reference(chains[0])
+        if big_n >= 3:
+            assert j_map(chains[0]) == j_map_reference(chains[0])
+        for s in chains:
+            rows = [v.rows for v in s.chain]
+
+            def prefix(k):
+                return SSYTable(s.chain[:k])
+
+            steps = tuple(once(("y", k) + tuple(rows[max(k - 2, 0):k]),
+                               lambda: y_inverse_reference(prefix(k)).steps[-1])
+                          for k in range(1, big_n + 1))
+            assert y_inverse(s).steps == steps, s
             if big_n >= 3:
-                assert j_map(s) == j_map_reference(s), s
+                betas = tuple(once(("j", k, rows[k - 2], rows[k - 1]),
+                                   lambda: j_map_reference(prefix(k)).betas[0])
+                              for k in range(big_n, 2, -1))
+                z = once(("z", rows[0], rows[1]), lambda: j_map_reference(prefix(3)).z)
+                p = j_map(s)
+                assert (p.betas, p.z) == (betas, z), s
 
 
 def test_j_map_hand_example():
