@@ -44,19 +44,12 @@ class XiCache:
         # is minuscule: every sign flips at even rank, all but the last at odd rank
         n = crystal.n
         self._flip = (1 << (n if n % 2 == 0 else n - 1)) - 1
-
-    def _theta(self, i):
-        n = self.crystal.n
-        if n % 2 == 1:
-            if i == n - 1:
-                return n
-            if i == n:
-                return n - 1
-        return i
+        # theta by index, slot 0 unused: the fork nodes n-1 and n swap at odd rank
+        self._theta = (0,) + tuple(range(1, n - 1)) + ((n, n - 1) if n % 2 else (n - 1, n))
 
     def xi_word(self, w):
         """The involution on the full word (all factors as one segment)."""
-        crystal = self.crystal
+        crystal, theta = self.crystal, self._theta
         path = []
         top = crystal.to_highest_weight(w, path)
         image = self._bottoms.get(top)
@@ -65,7 +58,7 @@ class XiCache:
             if len(self._bottoms) < self._limit:
                 self._bottoms[top] = image
         for i in reversed(path):
-            image = crystal.tensor_e(self._theta(i), image)
+            image = crystal.tensor_e(theta[i], image)
             assert image is not None, "xi replay left the component; theta is wrong"
         return image
 

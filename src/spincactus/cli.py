@@ -233,9 +233,9 @@ def _payload_table(args):
 
 
 def _spin_crystal(n, needed_bits, budget):
-    """SpinCrystal(n) (at most 5*n*2^n table entries) once 2^needed_bits fit; it refuses n < 2 itself."""
-    if n >= 2 and needed_bits > budget:
-        raise BudgetExceededError(needed_bits, budget)
+    """SpinCrystal(n) (at most 3*n*2^n table entries) once 2^needed_bits fit; it refuses n < 2 itself."""
+    if n >= 2:
+        crystal._check_budget(needed_bits, budget)
     return crystal.SpinCrystal(n)
 
 

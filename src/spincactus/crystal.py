@@ -8,18 +8,17 @@ tuples of masks; the tensor rule moves e_i to the first factor of a pair
 exactly when eps_i(first) exceeds phi_i(second), and f_i when it is at least
 phi_i(second).
 
-The kernel is table-driven: each crystal precomputes, for every index i, the
-images of all 2^n factors under e_i and f_i and one code table: 1 for an eps_i
-factor, 2 for a phi_i factor, 0 for neither (every i-string of the basic
-crystal has length at most one). In the equivalent signature rule each phi
-factor cancels the nearest open eps factor to its left. e_i and f_i make one
-pass that keeps only the open-eps depth and builds no list; `_signature` lists
-the free factors for eps_i and phi_i. `component_members` runs all n bracket
-counts in one pass per member, from per-factor lists of the indices at which a
-factor is an eps or a phi factor. Each crystal scans a tensor power for its
-tops once and stores them, so the census and the components share one scan.
-The literal two-factor recursion stays in `suites` as the oracle
-(`tensor_e_reference`, `tensor_f_reference`).
+The basic crystal is minuscule, so e_i and f_i flip the same two bits of a
+factor: a move is one XOR with index i's mask. One code table per index says
+which move a factor allows: 1 for an eps factor (eps_i = 1), 2 for a phi factor
+(phi_i = 1), 0 for neither. In the equivalent signature rule each phi factor
+cancels the nearest open eps factor to its left; one left-to-right bracket
+pass (`_bracket`) gives e_i, f_i, eps_i and phi_i on a word. Two scans keep
+their own pass: `is_highest_weight` reads right to left and stops early, and
+`component_members` runs all n bracket counts in one pass per member. Each
+crystal scans a tensor power for its tops once and stores them, so the census
+and the components share one scan. The literal two-factor recursion stays in
+`suites` as the oracle (`tensor_e_reference`, `tensor_f_reference`).
 
 The bijection between highest-weight words and regular cell tables reads the
 factor weights right to left: under this tensor rule the last factor of a
@@ -44,20 +43,14 @@ DEFAULT_BUDGET_BITS = 20
 MAX_BUDGET_BITS = 24
 
 
-def _spin_move(n, i, b, lowering):
-    """f_i (lowering) or e_i on one sign vector by the bit rule; None where it is zero.
-
-    Both flip a pair of adjacent bits to its complement: bits (i-1, i) from
-    (+,-) for f_i and (-,+) for e_i when i < n, bits (n-2, n-1) from (+,+)
-    for f_n and (-,-) for e_n.
-    """
+def _spin_pair(n, i):
+    """Where index i acts on one sign vector: the mask of its two bits, and the
+    value of those bits that f_i moves. e_i moves the complement, and each flips
+    the pair: bits (i-1, i) from (+,-) for f_i and (-,+) for e_i when i < n,
+    bits (n-2, n-1) from (+,+) for f_n and (-,-) for e_n."""
     if i < n:
-        shift, source = i - 1, 0b01 if lowering else 0b10
-    else:
-        shift, source = n - 2, 0b11 if lowering else 0b00
-    if (b >> shift) & 3 == source:
-        return b ^ (3 << shift)
-    return None
+        return 3 << (i - 1), 1 << (i - 1)
+    return 3 << (n - 2), 3 << (n - 2)
 
 
 def node_limit(budget_bits):
@@ -106,19 +99,15 @@ class SpinCrystal:
         if n < 2:
             raise ValidationError(f"rank must be at least 2, got {n}")
         self.n = n
-        # Operator tables indexed [i][b], slot 0 unused: the image of b under
-        # e_i or f_i (None where it is zero), and b's code for index i: 1 for an
-        # eps factor (eps_i = 1), 2 for a phi factor (phi_i = 1), 0 for neither.
+        # Indexed [i], slot 0 unused: index i's mask, and b's code for index i at
+        # [i][b]: 1 for an eps factor (eps_i = 1), 2 for a phi factor (phi_i = 1),
+        # 0 for neither.
         indices = range(1, n + 1)
-        self._e = (None,) + tuple(
-            tuple(_spin_move(n, i, b, False) for b in self.elements()) for i in indices
-        )
-        self._f = (None,) + tuple(
-            tuple(_spin_move(n, i, b, True) for b in self.elements()) for i in indices
-        )
+        pairs = [_spin_pair(n, i) for i in indices]
+        self._mask = (None,) + tuple(mask for mask, _ in pairs)
         self._code = (None,) + tuple(
-            tuple((up is not None) + 2 * (down is not None) for up, down in zip(ups, downs))
-            for ups, downs in zip(self._e[1:], self._f[1:])
+            tuple((b & mask == mask ^ down) + 2 * (b & mask == down) for b in self.elements())
+            for mask, down in pairs
         )
         assert all(3 not in self._code[i] for i in indices), (
             "every i-string of the basic crystal has length at most one"
@@ -157,50 +146,30 @@ class SpinCrystal:
 
     def spin_f(self, i, b):
         self._check_index(i)
-        return self._f[i][b]
+        return b ^ self._mask[i] if self._code[i][b] == 2 else None
 
     def spin_e(self, i, b):
         self._check_index(i)
-        return self._e[i][b]
+        return b ^ self._mask[i] if self._code[i][b] == 1 else None
 
     # -- tensor words -------------------------------------------------------
 
     def word_weight(self, w) -> Weight:
         return Weight(tuple(map(sum, zip((0,) * self.n, *map(self._coords2.__getitem__, w)))))
 
-    def _signature(self, i, w):
-        """The free phi_i and the free eps_i positions of w, innermost first, in one pass.
+    def _bracket(self, i, w):
+        """One left-to-right bracket pass of index i over w.
 
         Factors with eps_i = 1 and phi_i = 1 pair off like brackets: each phi
-        factor cancels the nearest uncancelled eps factor to its left. The
-        free factors read phi...phi eps...eps; f_i moves the last free phi
-        factor and e_i the first free eps factor, so each list starts with
-        the factor its operator moves, then the one it moves next.
+        factor cancels the nearest open eps factor to its left, and the free
+        factors read phi...phi eps...eps. Returns the number of free phi
+        factors, the last of them (the one f_i moves), the number of open eps
+        factors and the first of them (the one e_i moves); a missing position
+        is None.
         """
-        code = self._code[i]
-        free_phi = []
-        free_eps = []  # eps factors not yet cancelled, left to right
-        k = 0  # a plain counter: enumerate costs a quarter of the pass on short words
-        for b in w:
-            c = code[b]
-            if c == 1:
-                free_eps.append(k)
-            elif c:
-                if free_eps:
-                    free_eps.pop()
-                else:
-                    free_phi.append(k)
-            k += 1
-        free_phi.reverse()
-        return free_phi, free_eps
-
-    def _move(self, i, w, lowering):
-        """f_i (lowering) or e_i on a word by the signature rule; None where it is zero.
-        One pass keeps the open-eps depth: f_i moves the last phi factor met at
-        depth 0, e_i the eps factor opened at depth 0 and never closed."""
         self._check_index(i)
         code = self._code[i]
-        depth = k = 0
+        depth = free = k = 0  # k by hand: enumerate costs a quarter of the pass on short words
         first_eps = last_phi = None
         for b in w:
             c = code[b]
@@ -212,33 +181,31 @@ class SpinCrystal:
                 if depth:
                     depth -= 1
                 else:
+                    free += 1
                     last_phi = k
             k += 1
-        pos = last_phi if lowering else first_eps if depth else None
-        if pos is None:
-            return None
-        table = self._f[i] if lowering else self._e[i]
-        return w[:pos] + (table[w[pos]],) + w[pos + 1 :]
+        return free, last_phi, depth, first_eps if depth else None
 
     def tensor_f(self, i, w):
-        return self._move(i, w, True)
+        pos = self._bracket(i, w)[1]
+        return None if pos is None else w[:pos] + (w[pos] ^ self._mask[i],) + w[pos + 1 :]
 
     def tensor_e(self, i, w):
-        return self._move(i, w, False)
+        pos = self._bracket(i, w)[3]
+        return None if pos is None else w[:pos] + (w[pos] ^ self._mask[i],) + w[pos + 1 :]
 
     def eps(self, i, w):
-        """Largest power of e_i that does not kill w: the number of free eps factors."""
-        self._check_index(i)
-        return len(self._signature(i, w)[1])
+        """Largest power of e_i that does not kill w: the number of open eps factors."""
+        return self._bracket(i, w)[2]
 
     def phi(self, i, w):
         """Largest power of f_i that does not kill w: the number of free phi factors."""
-        self._check_index(i)
-        return len(self._signature(i, w)[0])
+        return self._bracket(i, w)[0]
 
     def is_highest_weight(self, w):
         """No e_i moves w: read right to left, a pending phi factor cancels each
-        eps factor. Stops at the first eps factor that none cancels."""
+        eps factor. Stops at the first eps factor that none cancels, which a
+        full `_bracket` pass would not: every census scan tests each word here."""
         for code in self._code[1:]:
             pending = 0
             for b in reversed(w):
@@ -252,7 +219,7 @@ class SpinCrystal:
         return True
 
     def is_lowest_weight(self, w):
-        return not any(self._signature(i, w)[0] for i in range(1, self.n + 1))
+        return not any(self._bracket(i, w)[0] for i in range(1, self.n + 1))
 
     def _walk(self, w, step, path):
         # Apply each index until it stops moving, cycling through 1..n; the
@@ -283,12 +250,12 @@ class SpinCrystal:
     def component_members(self, w, budget_bits=DEFAULT_BUDGET_BITS):
         """All words in the component of w, found by lowering from its top.
 
-        One pass over a member's factors runs all n bracket counts at once: it
-        gives every f_i-successor, in index order, and says whether the member
-        is a top or a bottom word.
+        One pass over a member's factors runs all n bracket counts at once, where
+        `_bracket` would make n: it gives every f_i-successor, in index order,
+        and says whether the member is a top or a bottom word.
         """
         hw = self.to_highest_weight(w)
-        n, f, eps_at, phi_at = self.n, self._f, self._eps_at, self._phi_at
+        n, mask, eps_at, phi_at = self.n, self._mask, self._eps_at, self._phi_at
         tops = bottoms = 0
 
         def successors(cur):
@@ -305,7 +272,7 @@ class SpinCrystal:
                     else:
                         last[i] = k
                 k += 1
-            down = [cur[:pos] + (f[i][cur[pos]],) + cur[pos + 1 :]
+            down = [cur[:pos] + (cur[pos] ^ mask[i],) + cur[pos + 1 :]
                     for i, pos in enumerate(last) if pos is not None]
             tops += not any(depth)
             bottoms += not down

@@ -2,6 +2,10 @@ import argparse
 import inspect
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -566,3 +570,20 @@ def test_bijections_reads_lengths_from_three(capsys, monkeypatch):
     assert run(capsys, "verify", "bijections", "--N", "3")[0] == EXIT_OK
     assert run(capsys, "verify", "bijections", "--N", "5")[0] == EXIT_OK
     assert seen == [{"chain_big_ns": (3,)}, {"chain_big_ns": (3, 4, 5)}]
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["verify", "thm51-signs"], EXIT_OK),
+    (["verify", "census", "--budget-bits", "0"], EXIT_BUDGET),
+    (["act", "--word", "s(1,2)", "--payload", '{"steps2": [[1.5, 1]]}'], EXIT_USAGE),
+])
+def test_module_entry_point_exit_status(argv, status):
+    """`python -m spincactus.cli` in its own process returns main's status as the exit status."""
+    env = {key: value for key, value in os.environ.items() if key != "CACTUS_BUDGET_BITS"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run([sys.executable, "-m", "spincactus.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == status, done.stderr

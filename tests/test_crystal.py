@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -38,6 +39,30 @@ def test_single_factor_rules():
     assert c.spin_e(2, mm) == pp
     with pytest.raises(ValidationError):
         c.spin_f(3, pp)
+
+
+def _sign_rule(n, i, signs, lowering):
+    """f_i (lowering) or e_i on a sign string, as written in the definition; None where it is zero."""
+    j = i - 1 if i < n else n - 2  # the two positions index i reads
+    pair = signs[j : j + 2]
+    if i < n:
+        source, target = ("+-", "-+") if lowering else ("-+", "+-")
+    else:
+        source, target = ("++", "--") if lowering else ("--", "++")
+    return signs[:j] + target + signs[j + 2 :] if pair == source else None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_single_factor_moves_follow_the_sign_string_rule(n):
+    c = SpinCrystal(n)
+    strings = ["".join(signs) for signs in product("+-", repeat=n)]
+    assert sorted(masks(c, *strings)) == list(c.elements())
+    for signs in strings:
+        (b,) = masks(c, signs)
+        for i in range(1, n + 1):
+            for move, lowering in ((c.spin_f, True), (c.spin_e, False)):
+                image = _sign_rule(n, i, signs, lowering)
+                assert move(i, b) == (None if image is None else masks(c, image)[0])
 
 
 def test_weight_shift_by_simple_roots():
@@ -291,7 +316,10 @@ def test_signature_and_extremal_tests_match_reference_moves(n, big_n_max):
             for i in range(1, n + 1):
                 free_phi = _reference_positions(c, tensor_f_reference, i, w)
                 free_eps = _reference_positions(c, tensor_e_reference, i, w)
-                assert c._signature(i, w) == (free_phi, free_eps)
+                assert c._bracket(i, w) == (
+                    len(free_phi), free_phi[0] if free_phi else None,
+                    len(free_eps), free_eps[0] if free_eps else None,
+                )
                 top = top and not free_eps
                 bottom = bottom and not free_phi
             assert c.is_highest_weight(w) == top
@@ -338,7 +366,7 @@ def test_components_hold_one_component_at_a_time():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_eps_phi_match_repeated_reference_moves(n):
-    # the oracle moves by the two-factor recursion, so it shares no code with _signature
+    # the oracle moves by the two-factor recursion, so it shares no code with _bracket
     c = SpinCrystal(n)
     up, down = partial(tensor_e_reference, c), partial(tensor_f_reference, c)
     for big_n in range(1, 5):
