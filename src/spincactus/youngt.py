@@ -11,18 +11,19 @@ whose last one is +1/2) grows column j, a GT row is a level's shorter diagram, d
 j_inverse reads level k back as |beta_k|/2 or its associate.
 
 Records are validated where they enter: the constructors, from_json, f_map, y_map, y_inverse
-(through CellTable) and j_map. Each rule is one pass over row tuples: a diagram's rows, each
-strip of a chain (_strip) and each pair of pattern rows (interlaces). What this module derives
-from checked values (the enumerators, branch_syd, associated, f_inverse, syd_to_orthweight,
-j_inverse's chain) is built through weights.trusted; j_inverse checks each strip on the rows
-before it builds the level, and compares its j_map image with p.
+(through CellTable) and j_map. Each rule is one index loop over row tuples: a diagram's rows,
+each strip of a chain (_strip) and each pair of pattern rows (interlaces). What this module
+derives from checked values (the enumerators, branch_syd, associated, f_inverse,
+syd_to_orthweight, y_inverse's steps, j_inverse's chain) is built through weights.trusted,
+one builder per record class; y_inverse's steps are checked by validating the CellTable they
+form, and j_inverse checks each strip on the rows before it builds the level, and compares
+its j_map image with p. enumerate_sssyt calls branch_syd once per distinct diagram of a level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import ge
 
 from .celldiag import CellDiagram, CellTable
 from .errors import ValidationError
@@ -44,8 +45,9 @@ class ShortYoungDiagram:
             raise ValidationError("need ambient height >= 0 and width bound >= 2")
         if min(rows, default=1) <= 0:
             raise ValidationError("row lengths must be positive (drop trailing zeros)")
-        if not all(map(ge, rows, rows[1:])):
-            raise ValidationError("rows must be weakly decreasing")
+        for i in range(1, len(rows)):
+            if rows[i - 1] < rows[i]:
+                raise ValidationError("rows must be weakly decreasing")
         if rows and rows[0] > self.n:
             raise ValidationError(f"at most {self.n} columns allowed, got {rows[0]}")
         if not _fits(rows, self.N):
@@ -81,8 +83,14 @@ def _fits(rows, big_n):
 def _strip(big, small):
     """The horizontal-strip rule on partitions, rows zero padded: big_i >= small_i >= big_{i+1}.
     Rows are positive, so small has len(big) - 1 or len(big) rows."""
-    return (len(big) - 1 <= len(small) <= len(big) and all(map(ge, big, small))
-            and all(map(ge, small, big[1:])))
+    n = len(big)
+    if not n - 1 <= len(small) <= n:
+        return False
+    for i in range(len(small)):
+        x = small[i]
+        if x > big[i] or (i + 1 < n and x < big[i + 1]):
+            return False
+    return True
 
 
 def _rows_from_columns(cols):
@@ -176,9 +184,17 @@ def interlaces(beta: OrthWeight, mu: OrthWeight) -> bool:
     if beta.k != mu.k + 1:
         raise ValidationError(f"ranks must be adjacent, got {beta.k} and {mu.k}")
     b, m = beta.coords2, mu.coords2
-    if beta.k % 2:
-        return all(map(ge, b, m)) and all(map(ge, m, b[1:])) and b[-1] >= abs(m[-1])
-    return len(b) < 2 or (all(map(ge, b, m)) and all(map(ge, m, b[1:-1])) and m[-1] >= abs(b[-1]))
+    if beta.k % 2:  # b and m both have d coordinates: ... >= b_d >= |m_d|
+        for j in range(len(m) - 1):
+            if not b[j] >= m[j] >= b[j + 1]:
+                return False
+        return b[-1] >= abs(m[-1])
+    if len(b) < 2:  # m has d - 1 coordinates: ... >= b_{d-1} >= m_{d-1} >= |b_d|
+        return True
+    for j in range(len(b) - 2):
+        if not b[j] >= m[j] >= b[j + 1]:
+            return False
+    return b[-2] >= m[-1] >= abs(b[-1])
 
 
 def branch_syd(v: ShortYoungDiagram) -> list[ShortYoungDiagram]:
@@ -240,10 +256,16 @@ def enumerate_sssyt(v: ShortYoungDiagram) -> list[SSYTable]:
     """All semi-standard short Young tables of shape v, descending lex order."""
     if v.N < 1:  # a chain starts at height 1
         raise ValidationError(f"chain entry 1 has ambient height {v.N}, expected 1")
-    chains = [[v]]
+    chains = [(v,)]
     for _ in range(v.N - 1):
-        chains = [[rho] + c for c in chains for rho in branch_syd(c[0])]
-    out = [trusted(SSYTable, tuple(c)) for c in chains]
+        below, grown = {}, []  # one branch_syd call per distinct diagram of the level
+        for c in chains:
+            rhos = below.get(c[0].rows)
+            if rhos is None:
+                rhos = below[c[0].rows] = branch_syd(c[0])
+            grown += [(rho,) + c for rho in rhos]
+        chains = grown
+    out = [trusted(SSYTable, c) for c in chains]
     out.sort(key=lambda s: tuple(x.rows for x in s.chain), reverse=True)
     return out
 
@@ -282,7 +304,8 @@ def y_map(t: CellTable) -> SSYTable:
 
 
 def y_inverse(s: SSYTable) -> CellTable:
-    """Step k grows the columns of level k's strip: old_i + 1..new_i for each row i."""
+    """Step k grows the columns of level k's strip: old_i + 1..new_i for each row i. The
+    steps are built through trusted; validating the CellTable checks each of them."""
     n = s.chain[0].n
     signs = _growing_signs(n)
     steps, old = [], ()
@@ -290,7 +313,7 @@ def y_inverse(s: SSYTable) -> CellTable:
         c = [-x for x in signs]
         for o, new in zip(old + (0,), v.rows):  # a strip opens at most one row
             c[n - new:n - o] = signs[n - new:n - o]
-        steps.append(Weight(tuple(c)))
+        steps.append(trusted(Weight, tuple(c)))
         old = v.rows
     return CellTable(tuple(steps))
 
@@ -347,8 +370,10 @@ def j_map(s: SSYTable) -> GTPattern:
         rows = s.chain[k - 1].rows
         if 2 * len(rows) > k:
             rows = _associate_rows(rows, k)
-        coords = [2 * x for x in rows] + [0] * (k // 2 - len(rows))
-        if 2 * len(rows) == k and sum(s.chain[k - 2].rows) % 2:  # self-associated, odd below
+        coords = [2 * x for x in rows]
+        if len(rows) < k // 2:
+            coords += [0] * (k // 2 - len(rows))
+        elif 2 * len(rows) == k and sum(s.chain[k - 2].rows) % 2:  # self-associated, odd below
             coords[-1] = -coords[-1]
         betas.append(trusted(OrthWeight, tuple(coords), k))
     low = s.chain[1].rows  # level 2 is (), (a,) or (1, 1), whose shorter diagram is ()
@@ -359,46 +384,48 @@ def j_map(s: SSYTable) -> GTPattern:
         raise AssertionError(f"j_map produced an invalid pattern: {exc}") from exc
 
 
-def _readings(p: GTPattern, k: int):
-    """The two rows level k can have under p, the shorter first: |beta_k|/2 and its
-    associate at k >= 3 (None if a coordinate is odd), else read off z."""
+def _reading(p: GTPattern, k: int):
+    """The shorter of the two rows level k can have under p, the other being its associate:
+    |beta_k|/2 at k >= 3 (None if a coordinate is odd), else read off z."""
     if k >= 3:
-        coords2 = p.betas[p.top_rank - k].coords2
-        if any(c % 2 for c in coords2):
-            return None
-        rows = tuple(abs(c) // 2 for c in coords2 if c)
-    elif k == 2:
-        rows = (abs(p.z),) if p.z else ()
-    else:
-        rows = (1,) if p.z < 0 else ()
-    return rows, (_associate_rows(rows, k) if k > 1 else (1,))
+        rows = []
+        for c in p.betas[p.top_rank - k].coords2:
+            if c % 2:
+                return None
+            if c:
+                rows.append(abs(c) // 2)
+        return tuple(rows)
+    if k == 2:
+        return (abs(p.z),) if p.z else ()
+    return (1,) if p.z < 0 else ()
 
 
 def j_inverse(p: GTPattern, v: ShortYoungDiagram) -> SSYTable:
     """The unique chain of shape v mapping to p; raises if p is not in the image.
 
-    Read top down, level k is one of its two _readings: a strip adds at most one box to the
-    first column, so the shorter one unless it is too short. Both fit only below a
+    Read top down, level k is its _reading or that row's associate: a strip adds at most one
+    box to the first column, so the shorter one unless it is too short. Both fit only below a
     self-associated level k+1; their sizes differ by one, and j_map recorded the odd one as
-    a negative last coordinate of beta_{k+1}. A final j_map comparison guards the result."""
+    a negative last coordinate of beta_{k+1}. The associate is built only where one of these
+    rules picks it. A final j_map comparison guards the result."""
     big_n = v.N
     if p.top_rank != big_n:
         raise ValidationError(f"pattern top rank {p.top_rank} does not match shape height {big_n}")
     if big_n < 3:
         raise ValidationError("patterns are only defined for chains of length >= 3")
-    readings = _readings(p, big_n)
-    if readings is None or v.rows not in readings:
+    rows = _reading(p, big_n)
+    if rows is None or v.rows != rows and v.rows != _associate_rows(rows, big_n):
         raise ValidationError("pattern top row does not encode the given shape")
     chain, upper = [v], v.rows
     for k in range(big_n - 1, 0, -1):
-        readings = _readings(p, k)
-        if readings is None:
+        rows = _reading(p, k)
+        if rows is None:
             raise ValidationError("pattern is not in the image of the chain bijection")
-        rows, alt = readings
         if k >= 3 and 2 * len(upper) == k + 1:  # below a self-associated level
-            rows = rows if sum(rows) % 2 == (p.betas[big_n - k - 1].coords2[-1] < 0) else alt
+            if sum(rows) % 2 != (p.betas[big_n - k - 1].coords2[-1] < 0):
+                rows = _associate_rows(rows, k)
         elif len(rows) < len(upper) - 1:
-            rows = alt
+            rows = _associate_rows(rows, k)
         if not _strip(upper, rows):
             raise ValidationError("pattern is not in the image of the chain bijection")
         chain.append(trusted(ShortYoungDiagram, rows, k, v.n))

@@ -24,7 +24,8 @@ from spincactus.youngt import (
     GTPattern,
     SSYTable,
     ShortYoungDiagram,
-    _readings,
+    _associate_rows,
+    _reading,
     associated,
     branch_syd,
     enumerate_gtp,
@@ -75,10 +76,23 @@ def test_trusted_skips_post_init_and_keeps_the_record_frozen():
 
 
 def test_trusted_refuses_a_wrong_number_of_fields():
-    with pytest.raises(ValueError):
-        trusted(OrthWeight, (2,))  # k missing
-    with pytest.raises(ValueError):
-        trusted(Weight, (1, -1), 4)  # one value too many
+    # one builder per class: each unpacks exactly its fields and keeps the record frozen
+    s = y_map(WORKED)
+    examples = (WORKED.steps[0], OrthWeight((4, 2), 5), WORKED.shape(), WORKED, s.shape, s,
+                j_map(s))
+    assert tuple(map(type, examples)) == RECORDS
+    for record in examples:
+        cls, fields = type(record), dataclasses.fields(record)
+        values = [getattr(record, f.name) for f in fields]
+        with pytest.raises(ValueError):
+            trusted(cls, *values[:-1])  # one value too few
+        with pytest.raises(ValueError):
+            trusted(cls, *values, values[-1])  # one value too many
+        built = trusted(cls, *values)
+        assert type(built) is cls and built == record and hash(built) == hash(record)
+        assert rebuild(built) == built and hash(rebuild(built)) == hash(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, fields[0].name, values[0])
 
 
 # -- every trusted record equals its validated rebuild ---------------------------
@@ -183,7 +197,8 @@ def _patterns():
 
 def test_readings_are_the_candidates_and_their_associate():
     # a level's readings depend on beta_k alone at k >= 3 and on z below: one pattern per
-    # input. The try/except listed the candidates, then the associate of the first at k >= 3
+    # input. The try/except listed the candidates; the other reading is the associate of the
+    # first at every level (at k = 1 that of (1,) is (), a reading no rule picks)
     levels = {}
     for p in _patterns():
         for k in range(p.top_rank, 0, -1):
@@ -194,10 +209,11 @@ def test_readings_are_the_candidates_and_their_associate():
         want = None
         if candidates:
             rows = candidates[0]
-            alt = (oracle_associated(ShortYoungDiagram(rows, k, max((2,) + rows[:1]))).rows
-                   if k >= 3 else candidates[-1])
-            want = (rows, alt)
-        assert _readings(p, k) == want, (p, k)
+            want = (rows, oracle_associated(ShortYoungDiagram(rows, k, max((2,) + rows[:1]))).rows)
+            if k < 3:
+                assert want[1] in candidates or candidates == [(1,)], (p, k)
+        rows = _reading(p, k)
+        assert (None if rows is None else (rows, _associate_rows(rows, k))) == want, (p, k)
         odd += want is None
     assert odd  # some levels have an odd coordinate and no reading
 
@@ -286,6 +302,23 @@ def test_enumerators_and_inverse_maps_do_not_revalidate(validations):
     assert counts["SSYTable"] == counts["ShortYoungDiagram"] == 0, counts
 
 
+def test_enumerate_sssyt_branches_each_distinct_diagram_once(monkeypatch):
+    import spincactus.youngt as youngt
+
+    calls, original = [], youngt.branch_syd
+
+    def counting(v):
+        calls.append((v.N, v.rows))
+        return original(v)
+
+    monkeypatch.setattr(youngt, "branch_syd", counting)
+    for v in (ShortYoungDiagram((2, 2, 1), 6, 3), ShortYoungDiagram((3, 1), 7, 4)):
+        calls.clear()
+        chains = enumerate_sssyt(v)
+        assert len(chains) > len(calls)
+        assert sorted(calls) == sorted({(x.N, x.rows) for c in chains for x in c.chain if x.N > 1})
+
+
 def test_bijection_maps_read_steps_and_rows_without_prefix_diagrams(validations):
     s = y_map(WORKED)
     counts = validations()
@@ -295,7 +328,8 @@ def test_bijection_maps_read_steps_and_rows_without_prefix_diagrams(validations)
 
     counts = validations()
     y_inverse(s)
-    assert counts["CellTable"] == 1 and counts["CellDiagram"] == 0, counts
+    # the CellTable check covers every step, so the steps are built through trusted
+    assert counts["CellTable"] == 1 and counts["CellDiagram"] == counts["Weight"] == 0, counts
 
     counts = validations()
     j_map(s)
