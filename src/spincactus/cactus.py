@@ -4,12 +4,12 @@ xi is computed by walking one path, never by building a component: raise the
 word to the top of its component, recording the e-indices used; take the
 bottom word of the component, which xi assigns to the top; then replay the
 recorded indices in reverse as raisings e_theta(i) from the bottom. Here theta
-relabels the nodes (identity at even rank, swap of the two fork nodes at odd
-rank), so xi(f_i w) = e_theta(i) xi(w). A call holds only the path, whose
-length is the depth of w in its component (linear in N at fixed rank), and
-the bottom word of each top met, up to 2^budget_bits of them, so a second
-word of the same component skips the walk down. On a single factor xi is w0
-on its weight, a fixed bit flip.
+= -w0 relabels the nodes, so xi(f_i w) = e_theta(i) xi(w). A call holds only
+the path, whose length is the depth of w in its component (linear in N at
+fixed rank), and the bottom word of each top met, up to 2^budget_bits of them,
+so a second word of the same component skips the walk down. On a single
+factor xi is w0 on its weight, a fixed bit flip. Theta and the flip are read
+from the crystal (`SpinCrystal.theta`, `SpinCrystal.flip`).
 
 The commutor swaps two factor blocks via sigma(a (x) b) = xi(xi(b) (x) xi(a)).
 The generator s_{p,q} reverses the factor segment [p..q] in closed form
@@ -40,16 +40,10 @@ class XiCache:
         self.budget_bits = budget_bits
         self._limit = node_limit(budget_bits)
         self._bottoms = {}
-        # w0 on a spinor weight, which is xi on one factor as the basic crystal
-        # is minuscule: every sign flips at even rank, all but the last at odd rank
-        n = crystal.n
-        self._flip = (1 << (n if n % 2 == 0 else n - 1)) - 1
-        # theta by index, slot 0 unused: the fork nodes n-1 and n swap at odd rank
-        self._theta = (0,) + tuple(range(1, n - 1)) + ((n, n - 1) if n % 2 else (n - 1, n))
 
     def xi_word(self, w):
         """The involution on the full word (all factors as one segment)."""
-        crystal, theta = self.crystal, self._theta
+        crystal, theta = self.crystal, self.crystal.theta
         path = []
         top = crystal.to_highest_weight(w, path)
         image = self._bottoms.get(top)
@@ -87,7 +81,8 @@ class XiCache:
         """Reverse the factor segment p..q; an involution on the tensor power."""
         if not 1 <= p <= q <= len(w):
             raise ValidationError(f"need 1 <= p <= q <= {len(w)}, got {(p, q)}")
-        segment = tuple(b ^ self._flip for b in reversed(w[p - 1 : q]))
+        flip = self.crystal.flip
+        segment = tuple(b ^ flip for b in reversed(w[p - 1 : q]))
         return w[: p - 1] + self.xi_word(segment) + w[q:]
 
 
@@ -133,9 +128,10 @@ def act_on_table(cache: XiCache, gens, t: CellTable) -> CellTable:
     return out
 
 
-def orbit(cache: XiCache, t: CellTable, gens, budget_bits=DEFAULT_BUDGET_BITS):
-    """Closure of a table under the given generators, canonical (descending) order."""
-    seen = closure(t, lambda cur: (act_on_table(cache, [gen], cur) for gen in gens), budget_bits)
+def orbit(cache: XiCache, t: CellTable, gens):
+    """Closure of a table under the generators, within the cache's budget, in descending order."""
+    seen = closure(t, lambda cur: (act_on_table(cache, [gen], cur) for gen in gens),
+                   cache.budget_bits)
     return sorted(seen, key=CellTable.flat2, reverse=True)
 
 

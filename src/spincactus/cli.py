@@ -261,7 +261,7 @@ def cmd_export(args):
         gens = cactus.parse_cactus_word(args.word or "")
         spin = _spin_crystal(table.height, table.height, budget)
         cache = cactus.XiCache(spin, budget)
-        tables = cactus.orbit(cache, table, gens, budget)
+        tables = cactus.orbit(cache, table, gens)
         out = json.dumps(
             {"schema": SCHEMA, "orbit": [t.to_json() for t in tables]},
             indent=2,
@@ -385,7 +385,7 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValidationError, json.JSONDecodeError) as exc:
+    except (ValidationError, json.JSONDecodeError, OSError) as exc:  # OSError: a bad --out path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

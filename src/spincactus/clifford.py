@@ -145,9 +145,6 @@ class SingularReport:
     all_zero: bool
     nonzero: list[str] = field(default_factory=list)
 
-    def to_json(self):
-        return {"singular": self.all_zero, "nonzero_under": list(self.nonzero)}
-
 
 class ExteriorAlgebra:
     """Operator context for fixed block sizes n (columns) and N (rows)."""

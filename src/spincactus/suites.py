@@ -150,7 +150,7 @@ class XiTableReference(XiCache):
                 down = crystal.tensor_f(i, cur)
                 if down is None:
                     continue
-                up = crystal.tensor_e(self._theta[i], image)
+                up = crystal.tensor_e(crystal.theta[i], image)
                 assert up is not None, "xi propagation left the component"
                 if down in table:
                     assert table[down] == up, (

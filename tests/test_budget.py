@@ -24,7 +24,7 @@ ENTRY_POINTS = {
     "decompose_component_tensor": lambda bits: CRYSTAL.decompose_component_tensor(TOP, bits),
     "crystal_dot": lambda bits: crystal_dot(CRYSTAL, 2, bits),
     "crystal_dot_words": lambda bits: crystal_dot(CRYSTAL, 2, bits, words=[(0, 0)]),
-    "orbit": lambda bits: orbit(XiCache(SpinCrystal(3)), TABLE, GENS, bits),
+    "orbit": lambda bits: orbit(XiCache(SpinCrystal(3), bits), TABLE, GENS),
     "XiTableReference": lambda bits: XiTableReference(CRYSTAL, bits).xi_word((0, 0)),
     "XiCache": lambda bits: XiCache(CRYSTAL, bits),
     "suite_crystal_axioms": lambda bits: suite_crystal_axioms((2,), 1, bits),
@@ -81,7 +81,7 @@ def test_closure_limit_is_tight_on_orbits():
         for t in enumerate_tables(diagram_of_weight(lam, 3)):
             size = len(orbit(cache, t, gens))
             sizes.add(size)
-            assert_tight(lambda bits: orbit(cache, t, gens, bits), size)
+            assert_tight(lambda bits: orbit(XiCache(cache.crystal, bits), t, gens), size)
     assert sizes == {1, 2, 3, 6}
 
 

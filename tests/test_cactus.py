@@ -274,6 +274,7 @@ def test_xi_on_one_factor_is_a_bit_flip(n):
     c = SpinCrystal(n)
     cache = XiCache(c)
     flip = (1 << (n if n % 2 == 0 else n - 1)) - 1
+    assert c.flip == flip
     for b in c.elements():
         assert cache.xi_word((b,)) == (b ^ flip,)
         assert c.element_weight(b ^ flip) == w0_image(c.element_weight(b))

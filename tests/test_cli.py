@@ -6,12 +6,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
 from spincactus import suites
-from spincactus.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, VERIFY_OPTIONS, build_parser, main
-from spincactus.cli import OPTIONS, READS
+from spincactus.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, VERIFY_OPTIONS, build_parser
+from spincactus.cli import OPTIONS, READS, main
 from spincactus.crystal import DEFAULT_BUDGET_BITS
 
 
@@ -52,6 +53,12 @@ def test_enumerate_rejects_bad_weight(capsys):
     code, _, err = run(capsys, "enumerate", "tables", "--lambda", "1,0", "--N", "4", "--n", "2")
     assert code == EXIT_USAGE
     assert "parity" in err
+
+
+def test_enumerate_rejects_non_integer_weight(capsys):
+    code, _, err = run(capsys, "enumerate", "tables", "--lambda", "1,x", "--N", "3")
+    assert code == EXIT_USAGE
+    assert "expected comma-separated integers" in err
 
 
 def test_table_format_trailer(capsys):
@@ -120,6 +127,40 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["pass"] is True and report["suite"] == "thm51-signs"
+
+
+# suite -> (an oracle it reads through suites, a wrong stand-in made from the real one,
+# small sizes, the first check that the wrong oracle fails)
+WRONG_ORACLES = {
+    "crystal-axioms": ("tensor_f_reference", lambda real: lambda *args: None,
+                       ["--n", "2", "--N", "2"], "axioms n=2 N=1"),
+    "census": ("enumerate_tables", lambda real: lambda shape: [],
+               ["--n", "2", "--N", "2"], "per-weight counts n=2 N=1"),
+    "commutor": ("w0_image", lambda real: lambda wt: wt,
+                 ["--n", "2", "--N", "2"], "xi involution and weight rule n=2 N=1"),
+    "cactus-relations": ("word_to_permutation", lambda real: lambda gens, big_n: tuple(gens),
+                         ["--n", "2", "--N", "3"], "nested relation holds"),
+    "thm2": ("predicted_tensor_weights", lambda real: lambda lam: [],
+             ["--n", "2", "--N", "2"], "tensor decomposition n=2 N=1"),
+    "thm52": ("kappa", lambda real: lambda lam, big_n: None,
+              ["--n", "2", "--N", "2"], "top vectors n=2 N=1"),
+    "thm51-signs": ("f_map",  # a partition one box larger flips every negation sign
+                    lambda real: lambda d: types.SimpleNamespace(size=lambda: real(d).size() + 1),
+                    ["--n", "2"], "negation sign n=2 N=1 lambda2=[1, 1]"),
+    "bijections": ("count_sssyt", lambda real: lambda nu: -1,
+                   ["--n", "2", "--N", "3"], "table<->chain<->pattern n=2 N=3"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(suites.SUITES))
+def test_verify_exits_1_when_an_oracle_disagrees(capsys, monkeypatch, kind):
+    name, wrong, sizes, first_failed = WRONG_ORACLES[kind]
+    monkeypatch.setattr(suites, name, wrong(getattr(suites, name)))
+    code, out, _ = run(capsys, "verify", kind, *sizes)
+    report = json.loads(out)
+    assert code == EXIT_FAIL
+    assert report["pass"] is False
+    assert [c["name"] for c in report["checks"] if not c["pass"]][0] == first_failed
 
 
 def test_verify_budget_exit(capsys):
@@ -211,6 +252,31 @@ def test_export_orbit(capsys):
     )
     assert code == EXIT_OK
     assert "orbit" in json.loads(out)
+
+
+EXPORTS = [
+    ["export", "orbit", "--word", "s(1,2)", "--payload", '{"steps2": [[1, 1], [1, -1]]}'],
+    ["export", "crystal-graph", "--n", "2", "--N", "2", "--format", "dot"],
+]
+
+
+@pytest.mark.parametrize("argv", EXPORTS)
+def test_export_out_writes_what_stdout_shows(capsys, tmp_path, argv):
+    code, shown, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (EXIT_OK, "", "")
+    # the file holds the text without print's final newline
+    assert target.read_text() + "\n" == shown
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_export_out_unwritable_is_a_usage_error(capsys, tmp_path, where):
+    target = tmp_path / "no" / "such" / "o.json" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, *EXPORTS[0], "--out", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -398,7 +398,8 @@ def test_component_members_asserts_one_top_and_one_bottom():
     c = SpinCrystal(2)
     hw = c.to_highest_weight((0, 0))
     assert len(c.component_members(hw)[1]) > 1
-    c._eps_at = tuple(() for _ in c._eps_at)  # no factor closes a bracket: every member is a top
+    # no factor is an eps factor any more, so no bracket opens: every member is a top
+    c._code = (None,) + tuple(tuple(x & 2 for x in code) for code in c._code[1:])
     with pytest.raises(AssertionError, match="exactly one top and one bottom"):
         c.component_members(hw)
 
