@@ -22,14 +22,13 @@ import sys
 
 from . import cactus, celldiag, crystal, suites, youngt
 from .errors import BudgetExceededError, ValidationError
+from .suites import SCHEMA
 from .weights import Weight
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-SCHEMA = "cactus-crystal/1"
 
 
 def _parse_csv_ints(text):
@@ -51,9 +50,13 @@ def _budget_bits(args):
     return bits
 
 
+def _json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def _emit(args, payload, text_lines):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)
@@ -115,34 +118,34 @@ def _decode(from_json, data, **kwargs):
         raise ValidationError(f"malformed record: {exc!r}") from exc
 
 
-def _convert(args, source_kind, target_kind, data):
-    if source_kind == "table":
-        table = _decode(celldiag.CellTable.from_json, data)
-        chain = youngt.y_map(table)
-    elif source_kind == "sssyt":
+def _read(args, kind, data):
+    """The table a record of the given kind names, read through y_inverse or j_inverse."""
+    if kind == "table":
+        return _decode(celldiag.CellTable.from_json, data)
+    if kind == "sssyt":
         chain = _decode(youngt.SSYTable.from_json, data, n=args.n)
         if args.n not in (None, chain.shape.n):
             raise ValidationError(f"--n {args.n} does not match the chain's n {chain.shape.n}")
-        table = youngt.y_inverse(chain)
     else:  # gtp
         chain = youngt.j_inverse(_decode(youngt.GTPattern.from_json, data), _nu(args))
-        table = youngt.y_inverse(chain)
-    if target_kind == "table":
-        return table, table.to_json()
-    if target_kind == "sssyt":
-        return chain, chain.to_json()
-    pattern = youngt.j_map(chain)
-    return pattern, pattern.to_json()
+    return youngt.y_inverse(chain)
+
+
+def _as(kind, table):
+    """The table as a record of the given kind: itself, y_map(table) or j_map(y_map(table))."""
+    if kind == "table":
+        return table
+    chain = youngt.y_map(table)
+    return chain if kind == "sssyt" else youngt.j_map(chain)
 
 
 def cmd_convert(args):
-    data = _load_payload(args)
-    value, record = _convert(args, args.kind, args.target, data)
+    value = _as(args.target, _read(args, args.kind, _load_payload(args)))
+    record = value.to_json()
     round_trip_ok = None
     if args.check:
-        back, _ = _convert(args, args.target, args.kind, record)
-        again, _ = _convert(args, args.kind, args.target, back.to_json())
-        round_trip_ok = again == value
+        back = _as(args.kind, _read(args, args.target, record))
+        round_trip_ok = _as(args.target, _read(args, args.kind, back.to_json())) == value
     payload = {"schema": SCHEMA, "from": args.kind, "to": args.target, "record": record}
     lines = [json.dumps(record)]
     if round_trip_ok is not None:
@@ -155,17 +158,12 @@ def cmd_convert(args):
 
 
 def cmd_act(args):
-    data = _load_payload(args)
-    table = _decode(celldiag.CellTable.from_json, data)
+    table = _read(args, "table", _load_payload(args))
     gens = cactus.parse_cactus_word(args.word)
     budget = _budget_bits(args)
     cache = cactus.XiCache(_spin_crystal(table.height, table.height, budget), budget)
     moved = cactus.act_on_table(cache, gens, table)
-    record = moved.to_json()
-    if args.as_kind == "sssyt":
-        record = youngt.y_map(moved).to_json()
-    elif args.as_kind == "gtp":
-        record = youngt.j_map(youngt.y_map(moved)).to_json()
+    record = _as(args.as_kind or "table", moved).to_json()
     payload = {
         "schema": SCHEMA,
         "word": args.word,
@@ -218,13 +216,13 @@ def cmd_verify(args):
         if value is not None:
             kwargs[param] = convert(value)
     report = suites.SUITES[args.kind](**kwargs)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json(report))
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
 
 def _payload_table(args):
     """The payload's table; an explicit --n or --N must be its height or length."""
-    table = _decode(celldiag.CellTable.from_json, _load_payload(args))
+    table = _read(args, "table", _load_payload(args))
     for flag, given, what, size in (("--n", args.n, "height", table.height),
                                     ("--N", args.N, "length", table.length)):
         if given is not None and given != size:
@@ -244,11 +242,7 @@ def cmd_export(args):
     if args.kind == "crystal-graph":
         spin = _spin_crystal(args.n, args.n * _power(args.N), budget)
         if args.format == "json":
-            out = json.dumps(
-                {"schema": SCHEMA, "census": crystal.census_json(spin, args.N, budget)},
-                indent=2,
-                sort_keys=True,
-            )
+            out = _json({"schema": SCHEMA, "census": crystal.census_json(spin, args.N, budget)})
         else:
             out = crystal.crystal_dot(spin, args.N, budget)
     elif args.kind == "component":
@@ -262,11 +256,7 @@ def cmd_export(args):
         spin = _spin_crystal(table.height, table.height, budget)
         cache = cactus.XiCache(spin, budget)
         tables = cactus.orbit(cache, table, gens)
-        out = json.dumps(
-            {"schema": SCHEMA, "orbit": [t.to_json() for t in tables]},
-            indent=2,
-            sort_keys=True,
-        )
+        out = _json({"schema": SCHEMA, "orbit": [t.to_json() for t in tables]})
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)

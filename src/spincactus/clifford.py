@@ -64,10 +64,7 @@ class ExteriorVector:
         return _nonzero(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return _nonzero(out)
+        return self + other.scaled(-1)
 
     def scaled(self, c):
         c = Fraction(c)
@@ -326,14 +323,8 @@ def top_vector_report(alg: ExteriorAlgebra, w: Weight) -> dict:
     vec = alg.xi_lambda(w)
     singular = alg.check_singular(vec)
     bi = alg.weight_of_vector(vec)
-    gd_sign = None
-    if alg.N % 2 == 0 and w.coords2[-1] != 0:
-        swapped = alg.gd_swap(vec)
-        gd_sign = 1 if swapped == vec else -1 if swapped == vec.scaled(-1) else None
-    negid_sign = None
-    if alg.N % 2 == 1:
-        flipped = alg.neg_id(vec)
-        negid_sign = 1 if flipped == vec else -1 if flipped == vec.scaled(-1) else None
+    gd_sign = _sign(alg.gd_swap(vec), vec) if alg.N % 2 == 0 and w.coords2[-1] != 0 else None
+    negid_sign = _sign(alg.neg_id(vec), vec) if alg.N % 2 == 1 else None
     return {
         "lambda2": list(w.coords2),
         "singular": singular.all_zero,
@@ -342,6 +333,11 @@ def top_vector_report(alg: ExteriorAlgebra, w: Weight) -> dict:
         "gd_sign": gd_sign,
         "negid_sign": negid_sign,
     }
+
+
+def _sign(image, vec):
+    """1 if image is vec, -1 if it is -vec, else None."""
+    return 1 if image == vec else -1 if image == vec.scaled(-1) else None
 
 
 def kappa(w: Weight, big_n: int) -> OrthWeight:

@@ -128,11 +128,7 @@ class SpinCrystal:
     def element_of_weight(self, w: Weight):
         if w.rank != self.n or not is_spinor2(w.coords2):
             raise ValidationError(f"{w} is not a spinor weight of rank {self.n}")
-        mask = 0
-        for j, c in enumerate(w.coords2):
-            if c == 1:
-                mask |= 1 << j
-        return mask
+        return self._coords2.index(w.coords2)
 
     def _check_index(self, i):
         if not 1 <= i <= self.n:

@@ -27,8 +27,8 @@ from .clifford import (
     kappa_sigma,
     wedge_insert,
 )
-from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal, _check_budget, node_limit
-from .errors import BudgetExceededError, ValidationError
+from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal, _check_budget, closure
+from .errors import ValidationError
 from .weights import Weight, is_dominant_d, spinor_weights, w0_image
 from .youngt import (
     GTPattern,
@@ -49,10 +49,12 @@ from .youngt import (
     y_map,
 )
 
+SCHEMA = "cactus-crystal/1"  # the schema id of every JSON report and CLI record
+
 
 def _report(suite, params, checks):
     return {
-        "schema": "cactus-crystal/1",
+        "schema": SCHEMA,
         "suite": suite,
         "params": params,
         "checks": checks,
@@ -139,12 +141,10 @@ class XiTableReference(XiCache):
 
     def _build(self, hw):
         crystal = self.crystal
-        limit = node_limit(self.budget_bits)
-        lw = crystal.to_lowest_weight(hw)
-        table = {hw: lw}
-        queue = [hw]
-        while queue:
-            cur = queue.pop()
+        table = {hw: crystal.to_lowest_weight(hw)}
+
+        def successors(cur):
+            # each f_i-successor of cur gets its image e_theta(i) of cur's image
             image = table[cur]
             for i in range(1, crystal.n + 1):
                 down = crystal.tensor_f(i, cur)
@@ -152,15 +152,11 @@ class XiTableReference(XiCache):
                     continue
                 up = crystal.tensor_e(crystal.theta[i], image)
                 assert up is not None, "xi propagation left the component"
-                if down in table:
-                    assert table[down] == up, (
-                        "xi propagation is path-dependent; theta/w0 rule is wrong"
-                    )
-                    continue
-                if len(table) >= limit:
-                    raise BudgetExceededError(self.budget_bits + 1, self.budget_bits)
-                table[down] = up
-                queue.append(down)
+                known = table.setdefault(down, up)
+                assert known == up, "xi propagation is path-dependent; theta/w0 rule is wrong"
+                yield down
+
+        closure(hw, successors, self.budget_bits)
         return table
 
     def xi_word(self, w):
@@ -461,11 +457,15 @@ def suite_thm52(n_values=(2, 3), big_n_max=4, seed=20240801):
     return _report("thm52", {"n_values": list(n_values), "N_max": big_n_max}, checks)
 
 
-def suite_thm51_signs(n_values=(2, 3), even_n_values=(2, 4), odd_n_values=(1, 3)):
+# the tensor powers whose row-swap (even N) and negation (odd N) signs thm51-signs checks
+THM51_EVEN_NS, THM51_ODD_NS = (2, 4), (1, 3)
+
+
+def suite_thm51_signs(n_values=(2, 3)):
     checks = []
     branches = set()
     for n in n_values:
-        for big_n in even_n_values:
+        for big_n in THM51_EVEN_NS:
             alg = ExteriorAlgebra(n, big_n)
             for lam in enumerate_delta(n, big_n):
                 if lam.coords2[-1] == 0:
@@ -480,7 +480,7 @@ def suite_thm51_signs(n_values=(2, 3), even_n_values=(2, 4), odd_n_values=(1, 3)
                     ok,
                     f"expected {expected}",
                 )
-        for big_n in odd_n_values:
+        for big_n in THM51_ODD_NS:
             alg = ExteriorAlgebra(n, big_n)
             for lam in enumerate_delta(n, big_n):
                 vec = alg.xi_lambda(lam)
@@ -502,7 +502,7 @@ def suite_thm51_signs(n_values=(2, 3), even_n_values=(2, 4), odd_n_values=(1, 3)
     )
     return _report(
         "thm51-signs",
-        {"n_values": list(n_values), "even_N": list(even_n_values), "odd_N": list(odd_n_values)},
+        {"n_values": list(n_values), "even_N": list(THM51_EVEN_NS), "odd_N": list(THM51_ODD_NS)},
         checks,
     )
 
@@ -677,17 +677,14 @@ def _steps_read_back(tables, seen):
     return bad
 
 
-def suite_bijections(
-    kn_n_max=4,
-    kn_big_n_max=7,
-    f_n_max=5,
-    f_big_n_max=7,
-    chain_n_max=3,
-    chain_big_ns=(3, 4),
-):
+# the largest (n, N) of the weight<->diagram and of the diagram<->partition checks
+KN_MAX, F_MAX = (4, 7), (5, 7)
+
+
+def suite_bijections(chain_n_max=3, chain_big_ns=(3, 4)):
     checks = []
-    for n in range(2, kn_n_max + 1):
-        for big_n in range(1, kn_big_n_max + 1):
+    for n in range(2, KN_MAX[0] + 1):
+        for big_n in range(1, KN_MAX[1] + 1):
             lams = enumerate_delta(n, big_n)
             diagrams = [diagram_of_weight(lam, big_n) for lam in lams]
             ok = (
@@ -696,8 +693,8 @@ def suite_bijections(
                 and set(diagrams) == set(_all_cell_diagrams(n, big_n))
             )
             _check(checks, f"weight<->diagram n={n} N={big_n}", ok, f"{len(lams)} weights")
-    for n in range(2, f_n_max + 1):
-        for big_n in range(1, f_big_n_max + 1):
+    for n in range(2, F_MAX[0] + 1):
+        for big_n in range(1, F_MAX[1] + 1):
             diagrams = [diagram_of_weight(lam, big_n) for lam in enumerate_delta(n, big_n)]
             images = [f_map(d) for d in diagrams]
             ok = (
@@ -746,8 +743,8 @@ def suite_bijections(
     return _report(
         "bijections",
         {
-            "kn": [kn_n_max, kn_big_n_max],
-            "f": [f_n_max, f_big_n_max],
+            "kn": list(KN_MAX),
+            "f": list(F_MAX),
             "chains": [chain_n_max, list(chain_big_ns)],
         },
         checks,

@@ -110,7 +110,8 @@ def key(argv):
 
 def answer(argv):
     """(exit code, sha256 of stdout) of one command."""
-    out, saved = io.StringIO(), (sys.stdin, os.environ.pop("CACTUS_BUDGET_BITS", None))
+    out, stdin = io.StringIO(), sys.stdin
+    budget = os.environ.pop("CACTUS_BUDGET_BITS", None)
     sys.stdin = io.StringIO("")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -123,9 +124,9 @@ def answer(argv):
             else:
                 code = main(list(argv))
     finally:
-        sys.stdin = saved[0]
-        if saved[1] is not None:
-            os.environ["CACTUS_BUDGET_BITS"] = saved[1]
+        sys.stdin = stdin
+        if budget is not None:
+            os.environ["CACTUS_BUDGET_BITS"] = budget
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
@@ -138,11 +139,8 @@ def mismatches(commands=COMMANDS):
     """The keys whose answer differs from the corpus, or that only one side has."""
     recorded = json.loads(CORPUS.read_text())
     got = answers(commands)
-    if commands is COMMANDS:
-        keys = list(got) + [k for k in recorded if k not in got]
-    else:
-        keys = list(got)
-    return [k for k in keys if got.get(k) != recorded.get(k)]
+    extra = [k for k in recorded if k not in got] if commands is COMMANDS else []
+    return [k for k in [*got, *extra] if got.get(k) != recorded.get(k)]
 
 
 def cli(argv=None):

@@ -76,16 +76,9 @@ def test_criterion_02_branching_list():
 
 def test_criterion_03_bijection_suite():
     with criterion(3, "bijection suite", 30.0):
-        _assert_report(
-            suite_bijections(
-                kn_n_max=4,
-                kn_big_n_max=7,
-                f_n_max=5,
-                f_big_n_max=7,
-                chain_n_max=3,
-                chain_big_ns=(3, 4, 5),
-            )
-        )
+        report = suite_bijections(chain_n_max=3, chain_big_ns=(3, 4, 5))
+        _assert_report(report)
+        assert report["params"] == {"kn": [4, 7], "f": [5, 7], "chains": [3, [3, 4, 5]]}
 
 
 def test_criterion_04_crystal_census():
@@ -120,10 +113,9 @@ def test_criterion_09_top_vector_verifier():
 
 def test_criterion_10_sign_analysis():
     with criterion(10, "group-element sign analysis", 10.0):
-        report = suite_thm51_signs(
-            n_values=(2, 3), even_n_values=(2, 4), odd_n_values=(1, 3)
-        )
+        report = suite_thm51_signs(n_values=(2, 3))
         _assert_report(report)
+        assert report["params"] == {"n_values": [2, 3], "even_N": [2, 4], "odd_N": [1, 3]}
         branch_check = [
             c for c in report["checks"] if "parity branches" in c["name"]
         ]

@@ -64,12 +64,15 @@ def assert_tight(scan, m):
 
 
 def test_closure_limit_is_tight_on_components():
+    # the members, and the reference xi table, which holds one image per member
     sizes = set()
     for n, big_n in ((2, 3), (3, 2)):
         crystal = SpinCrystal(n)
         for comp in crystal.components(big_n):
             sizes.add(comp.size)
             assert_tight(lambda bits: crystal.component_members(comp.hw_word, bits)[1], comp.size)
+            assert_tight(lambda bits: XiTableReference(crystal, bits)._build(comp.hw_word),
+                         comp.size)
     assert sizes == {1, 2, 4, 6, 10, 15}
 
 

@@ -607,6 +607,53 @@ def test_convert_check_reads_the_target_row(capsys):
     assert code == EXIT_OK and json.loads(out)["round_trip_ok"] is True
 
 
+def test_convert_check_exits_1_when_the_round_trip_fails(capsys, monkeypatch):
+    # j_inverse answers with the next chain of the shape, so the pattern read back differs
+    from spincactus import youngt
+
+    j_inverse = youngt.j_inverse
+
+    def next_chain(p, v):
+        chains = youngt.enumerate_sssyt(v)
+        return chains[(chains.index(j_inverse(p, v)) + 1) % len(chains)]
+
+    monkeypatch.setattr(youngt, "j_inverse", next_chain)
+    code, out, err = run(capsys, "convert", "table", "gtp", "--payload", WORKED_TABLE,
+                         "--nu", "4,4,3,1", "--N", "7", "--n", "4", "--check")
+    assert code == EXIT_FAIL and err == ""
+    assert json.loads(out)["round_trip_ok"] is False
+
+
+THREE_STEPS = '{"steps2": [[1, 1], [1, -1], [1, 1]]}'
+
+# usage errors raised below the CLI, each with its message
+DEEP_USAGE_ERRORS = [
+    (["act", "--word", "s(1,2) x s(2,3)", "--payload", THREE_STEPS],
+     "cannot parse cactus word near: ' x s(2,3)'"),
+    (["act", "--word", "s(1,9)", "--payload", THREE_STEPS],
+     "generator s(1,9) exceeds word length 3"),
+    (["convert", "sssyt", "table", "--payload", '{"chain": [[1], [1, 1]]}'],
+     "width bound n is required to read a chain"),
+    (["convert", "gtp", "table", "--nu", "1", "--N", "3", "--n", "2",
+      "--payload", '{"betas2": [], "z": 0}'],
+     "a pattern has at least the rank-3 row"),
+    (["convert", "gtp", "table", "--nu", "1", "--N", "4", "--n", "2",
+      "--payload", '{"betas2": [[2]], "z": 0}'],
+     "pattern top rank 3 does not match shape height 4"),
+    (["enumerate", "delta", "--n", "1", "--N", "3"], "height must be at least 2, got 1"),
+    (["enumerate", "gtp", "--nu", "1", "--N", "2", "--n", "2"],
+     "patterns are only defined for ambient height >= 3"),
+    (["convert", "table", "table", "--payload", '{"steps2": []}'],
+     "a table has at least one step"),
+]
+
+
+@pytest.mark.parametrize("argv, message", DEEP_USAGE_ERRORS)
+def test_deep_usage_errors_exit_2_with_their_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_each_command_declares_the_union_of_its_rows():
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from spincactus.cactus import XiCache, word_to_permutation
 from spincactus.celldiag import (
     CellDiagram,
     CellTable,
@@ -18,8 +19,10 @@ from spincactus.celldiag import (
     enumerate_tables,
     steps_from_diagram_chain,
 )
+from spincactus.clifford import ExteriorAlgebra
+from spincactus.crystal import SpinCrystal
 from spincactus.errors import ValidationError
-from spincactus.weights import OrthWeight, Weight, trusted
+from spincactus.weights import OrthWeight, Weight, spinor_weights, trusted
 from spincactus.youngt import (
     GTPattern,
     SSYTable,
@@ -32,6 +35,7 @@ from spincactus.youngt import (
     enumerate_sssyt,
     f_inverse,
     f_map,
+    interlaces,
     j_inverse,
     j_map,
     shorter,
@@ -442,6 +446,50 @@ INVALID = [
                  "(2, 4) is not dominant for o_4", id="GTPattern-non-dominant-rank-4-row"),
     pytest.param(lambda: GTPattern.from_json({"betas2": [[2, 2], [-2]], "z": 0}),
                  "(-2,) is not dominant for o_3", id="GTPattern-non-dominant-rank-3-row"),
+    # raises that only a library caller reaches
+    pytest.param(lambda: XiCache(SpinCrystal(2)).commutor((0, 1), 2),
+                 "split must be in 1..1, got 2", id="commutor-split-past-the-word"),
+    pytest.param(lambda: XiCache(SpinCrystal(2)).sigma_pqr((0, 1, 2), 1, 3, 3),
+                 "need 1 <= p <= r < q <= 3, got (1, 3, 3)", id="sigma_pqr-split-at-q"),
+    pytest.param(lambda: XiCache(SpinCrystal(2)).s_pq((0, 1), 2, 3),
+                 "need 1 <= p <= q <= 2, got (2, 3)", id="s_pq-past-the-word"),
+    pytest.param(lambda: word_to_permutation([(1, 4)], 3), "generator s(1,4) exceeds degree 3",
+                 id="word_to_permutation-past-the-degree"),
+    pytest.param(lambda: CellDiagram((1,), (0,)), "diagram needs rows l, r of equal length >= 2",
+                 id="CellDiagram-one-row"),
+    pytest.param(lambda: enumerate_delta(2, 0), "length must be positive, got 0",
+                 id="enumerate_delta-length-0"),
+    pytest.param(lambda: steps_from_diagram_chain([]), "empty chain",
+                 id="steps_from_diagram_chain-empty"),
+    pytest.param(lambda: Weight((1, 1)) + Weight((1, 1, 1)),
+                 "cannot add weights of different ranks", id="Weight-add-two-ranks"),
+    pytest.param(lambda: OrthWeight((), 0), "ambient rank must be positive, got 0",
+                 id="OrthWeight-rank-0"),
+    pytest.param(lambda: spinor_weights(1), "rank must be at least 2, got 1",
+                 id="spinor_weights-rank-1"),
+    pytest.param(lambda: ExteriorAlgebra(1, 2), "need n >= 2, got 1", id="ExteriorAlgebra-n-1"),
+    pytest.param(lambda: ExteriorAlgebra(2, 0), "need N >= 1, got 0", id="ExteriorAlgebra-N-0"),
+    pytest.param(lambda: ExteriorAlgebra(2, 2).index(3, 1), "basis pair (3, 1) out of range",
+                 id="ExteriorAlgebra-index-past-N"),
+    pytest.param(lambda: ExteriorAlgebra(2, 2).xi_lambda(Weight((1, 1, 1))),
+                 "weight rank does not match n", id="xi_lambda-rank"),
+    pytest.param(lambda: SpinCrystal(2).table_to_word(WORKED),
+                 "table height does not match crystal rank", id="table_to_word-height"),
+    pytest.param(lambda: SpinCrystal(2).decompose_component_tensor((0,)),
+                 "word is not highest weight", id="decompose_component_tensor-not-a-top"),
+    pytest.param(lambda: ShortYoungDiagram((), 3, 1),
+                 "need ambient height >= 0 and width bound >= 2", id="ShortYoungDiagram-n-1"),
+    pytest.param(lambda: SSYTable(()), "a table has at least one diagram", id="SSYTable-empty"),
+    pytest.param(lambda: SSYTable((ShortYoungDiagram((), 2, 2),)),
+                 "chain entry 1 has ambient height 2, expected 1", id="SSYTable-height"),
+    pytest.param(lambda: SSYTable((ShortYoungDiagram((), 1, 2), ShortYoungDiagram((), 2, 3))),
+                 "all chain entries must share one width bound", id="SSYTable-two-widths"),
+    pytest.param(lambda: GTPattern((OrthWeight((2,), 2),), 0),
+                 "patterns start at rank 3 or higher", id="GTPattern-rank-2-top"),
+    pytest.param(lambda: GTPattern((OrthWeight((2, 2), 4), OrthWeight((2, 2), 4)), 0),
+                 "rows must descend through consecutive ranks", id="GTPattern-repeated-rank"),
+    pytest.param(lambda: GTPattern((OrthWeight((2, 2), 4),), 0),
+                 "the last row must have rank 3", id="GTPattern-ends-above-rank-3"),
 ]
 
 
@@ -449,3 +497,8 @@ INVALID = [
 def test_invalid_records_raise_the_same_messages(build, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_interlaces_from_rank_2_has_no_row_to_check():
+    # the rank-1 row below a rank-2 row has no coordinates, so any rank-2 row interlaces it
+    assert all(interlaces(OrthWeight((c,), 2), OrthWeight((), 1)) for c in (-4, 0, 2))

@@ -114,26 +114,9 @@ def test_associated_and_shorter():
 
 def test_self_associated_iff_half_column():
     for big_n in range(0, 7):
-        for v in _all_syd_list(3, big_n):
+        for v in _all_syd(3, big_n):
             assert is_self_associated(v) == (2 * v.col(1) == big_n)
             assert associated(associated(v)) == v
-
-
-def _all_syd_list(n, big_n):
-    out = []
-
-    def extend(rows):
-        first = len(rows)
-        second = sum(1 for x in rows if x >= 2)
-        if first + second > big_n:
-            return
-        out.append(syd(tuple(rows), big_n, n))
-        top = rows[-1] if rows else n
-        for x in range(1, top + 1):
-            extend(rows + [x])
-
-    extend([])
-    return out
 
 
 def test_syd_to_orthweight():
