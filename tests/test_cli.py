@@ -624,13 +624,11 @@ def test_convert_check_exits_1_when_the_round_trip_fails(capsys, monkeypatch):
     assert json.loads(out)["round_trip_ok"] is False
 
 
-THREE_STEPS = '{"steps2": [[1, 1], [1, -1], [1, 1]]}'
-
 # usage errors raised below the CLI, each with its message
 DEEP_USAGE_ERRORS = [
-    (["act", "--word", "s(1,2) x s(2,3)", "--payload", THREE_STEPS],
+    (["act", "--word", "s(1,2) x s(2,3)", "--payload", THREE_BY_TWO],
      "cannot parse cactus word near: ' x s(2,3)'"),
-    (["act", "--word", "s(1,9)", "--payload", THREE_STEPS],
+    (["act", "--word", "s(1,9)", "--payload", THREE_BY_TWO],
      "generator s(1,9) exceeds word length 3"),
     (["convert", "sssyt", "table", "--payload", '{"chain": [[1], [1, 1]]}'],
      "width bound n is required to read a chain"),
