@@ -16,8 +16,11 @@ cancels the nearest open eps factor to its left; one left-to-right bracket
 pass (`_bracket`) serves e_i, f_i, eps_i, phi_i and the component walk.
 `is_highest_weight` keeps its own right-to-left pass: it stops at the first eps
 factor that no phi factor cancels, which makes the scan for tops about 3x faster
-than a `_bracket` pass per index. Each crystal scans a tensor power for its tops
-once and stores them, so the census and the components share one scan. The
+than a `_bracket` pass per index. `to_highest_weight` raises a whole e_i-string
+per pass, flipping every open eps factor at once; `to_lowest_weight` keeps single
+`tensor_f` moves, whose calls the `act` benchmark workload counts (bench/). Each
+crystal scans a tensor power for its tops once and stores them, so the census and
+the components share one scan. The
 literal two-factor recursion stays in `suites` as the oracle
 (`tensor_e_reference`, `tensor_f_reference`).
 
@@ -38,7 +41,7 @@ from itertools import product
 
 from .celldiag import CellTable, table_from_steps
 from .errors import BudgetExceededError, ValidationError
-from .weights import Weight, as_int, is_spinor2
+from .weights import Weight, as_int, is_spinor2, trusted
 
 DEFAULT_BUDGET_BITS = 20
 MAX_BUDGET_BITS = 24
@@ -110,6 +113,9 @@ class SpinCrystal:
             for mask, down in pairs
         )
         self._coords2 = tuple(signs[::-1] for signs in product((-1, 1), repeat=n))
+        # per-element records for words <-> tables: each element's weight, each coords2's element
+        self._weights = tuple(trusted(Weight, c) for c in self._coords2)
+        self._element = {c: b for b, c in enumerate(self._coords2)}
         # theta = -w0 on the nodes, slot 0 unused: the fork nodes n-1 and n swap at odd
         # rank. xi on one factor is w0 on its weight, as the basic crystal is minuscule:
         # the flip of every sign at even rank, of all but the last at odd rank.
@@ -123,12 +129,12 @@ class SpinCrystal:
         return range(1 << self.n)
 
     def element_weight(self, b) -> Weight:
-        return Weight(self._coords2[b])
+        return self._weights[b]
 
     def element_of_weight(self, w: Weight):
         if w.rank != self.n or not is_spinor2(w.coords2):
             raise ValidationError(f"{w} is not a spinor weight of rank {self.n}")
-        return self._coords2.index(w.coords2)
+        return self._element[w.coords2]
 
     def _check_index(self, i):
         if not 1 <= i <= self.n:
@@ -145,7 +151,8 @@ class SpinCrystal:
     # -- tensor words -------------------------------------------------------
 
     def word_weight(self, w) -> Weight:
-        return Weight(tuple(map(sum, zip((0,) * self.n, *map(self._coords2.__getitem__, w)))))
+        coords2 = map(sum, zip((0,) * self.n, *map(self._coords2.__getitem__, w)))
+        return trusted(Weight, tuple(coords2))  # a sum of rank-n spinor weights is valid
 
     def _bracket(self, i, w):
         """One left-to-right bracket pass of index i over w.
@@ -157,7 +164,8 @@ class SpinCrystal:
         factors and the first of them (the one e_i moves); a missing position
         is None.
         """
-        self._check_index(i)
+        if not 1 <= i <= self.n:
+            self._check_index(i)
         code = self._code[i]
         depth = free = k = 0  # k by hand: enumerate costs a quarter of the pass on short words
         first_eps = last_phi = None
@@ -230,8 +238,36 @@ class SpinCrystal:
         return w
 
     def to_highest_weight(self, w, path=None):
-        """The top of w's component; appends the e-indices used to path, if given."""
-        return self._walk(w, self.tensor_e, path)
+        """The top of w's component; appends the e-indices used to path, if given. Each
+        index visit raises a whole e_i-string in one pass, in `_walk`'s order: e_i moves
+        the first open eps factor, which turns into a free phi factor, so e_i^eps_i flips
+        every open eps factor."""
+        n, codes, masks = self.n, self._code, self._mask
+        w = list(w)
+        i = 1
+        stuck = 0
+        while stuck < n:
+            code = codes[i]
+            opened = []  # positions of the open eps factors
+            k = 0
+            for b in w:
+                c = code[b]
+                if c == 1:
+                    opened.append(k)
+                elif c and opened:
+                    opened.pop()
+                k += 1
+            if opened:
+                mask = masks[i]
+                for k in opened:
+                    w[k] ^= mask
+                if path is not None:
+                    path += [i] * len(opened)
+                stuck = 1  # eps_i is now 0
+            else:
+                stuck += 1
+            i = i % n + 1
+        return tuple(w)
 
     def to_lowest_weight(self, w, path=None):
         """The bottom of w's component; appends the f-indices used to path, if given."""
@@ -269,6 +305,9 @@ class SpinCrystal:
     # -- whole-crystal scans --------------------------------------------------
 
     def all_words(self, big_n):
+        """Every word of the N-th tensor power in product order; every scan starts here."""
+        if big_n < 0:
+            raise ValidationError(f"tensor power N must be at least 0, got {big_n}")
         return product(range(1 << self.n), repeat=big_n)
 
     def components(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
@@ -306,7 +345,7 @@ class SpinCrystal:
         """The cell table of a highest-weight word: factor weights, read right to left."""
         if not self.is_highest_weight(w):
             raise ValidationError("word is not highest weight")
-        steps = tuple(self.element_weight(b) for b in reversed(w))
+        steps = tuple(map(self._weights.__getitem__, reversed(w)))
         try:
             return table_from_steps(steps)
         except ValidationError as exc:  # pragma: no cover - identification guard
@@ -315,10 +354,11 @@ class SpinCrystal:
             ) from exc
 
     def table_to_word(self, t: CellTable):
-        """The unique highest-weight word whose reversed factor weights are t's steps."""
+        """The unique highest-weight word whose reversed factor weights are t's steps;
+        a valid table of height n has only spinor steps of rank n, all in `_element`."""
         if t.height != self.n:
             raise ValidationError("table height does not match crystal rank")
-        w = tuple(self.element_of_weight(mu) for mu in reversed(t.steps))
+        w = tuple([self._element[mu.coords2] for mu in reversed(t.steps)])
         assert self.is_highest_weight(w), (
             "table steps do not produce a highest-weight word"
         )

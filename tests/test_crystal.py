@@ -161,6 +161,25 @@ def test_extremal_paths_replay_to_the_word():
                 assert cur == w
 
 
+@pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 4), (4, 3)])
+def test_string_walk_records_the_single_move_path(n, big_n_max):
+    # xi replays the path with theta, so the string walk must record the single moves' path
+    c = SpinCrystal(n)
+    for big_n in range(1, big_n_max + 1):
+        for w in c.all_words(big_n):
+            strings, moves = [], []
+            assert c.to_highest_weight(w, strings) == c._walk(w, c.tensor_e, moves)
+            assert strings == moves
+
+
+def test_negative_tensor_power_is_refused():
+    c = SpinCrystal(2)
+    for scan in (c.components, c.hw_census, c.all_words):
+        with pytest.raises(ValidationError, match="tensor power N must be at least 0, got -1"):
+            scan(-1)
+    assert list(c.all_words(0)) == [()]
+
+
 def test_tensor_index_is_checked():
     c = SpinCrystal(2)
     for i in (0, 3, -1):
@@ -295,27 +314,28 @@ def test_dot_and_census_exports():
     assert sum(item["count"] for item in census) == 6
 
 
-def _reference_positions(c, move, i, w):
+def _reference_positions(c, move, i, w, eps_memo):
     """The factor positions that repeated reference moves of index i change, in order."""
     positions = []
     cur = w
-    nxt = move(c, i, cur)
+    nxt = move(c, i, cur, eps_memo)
     while nxt is not None:
         (pos,) = [k for k in range(len(w)) if nxt[k] != cur[k]]
         positions.append(pos)
-        cur, nxt = nxt, move(c, i, nxt)
+        cur, nxt = nxt, move(c, i, nxt, eps_memo)
     return positions
 
 
 @pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 5), (4, 3)])
 def test_signature_and_extremal_tests_match_reference_moves(n, big_n_max):
     c = SpinCrystal(n)
+    eps_memo = {}  # one per crystal, as suite_crystal_axioms keeps it
     for big_n in range(1, big_n_max + 1):
         for w in c.all_words(big_n):
             top = bottom = True
             for i in range(1, n + 1):
-                free_phi = _reference_positions(c, tensor_f_reference, i, w)
-                free_eps = _reference_positions(c, tensor_e_reference, i, w)
+                free_phi = _reference_positions(c, tensor_f_reference, i, w, eps_memo)
+                free_eps = _reference_positions(c, tensor_e_reference, i, w, eps_memo)
                 assert c._bracket(i, w) == (
                     len(free_phi), free_phi[0] if free_phi else None,
                     len(free_eps), free_eps[0] if free_eps else None,
