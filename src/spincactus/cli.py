@@ -85,20 +85,32 @@ def cmd_enumerate(args):
         if args.n is not None and args.n != lam.rank:
             raise ValidationError(f"--n {args.n} does not match the rank {lam.rank} of --lambda")
         shape = celldiag.diagram_of_weight(lam, args.N)
+        _charge_enumeration(args, youngt.f_map(shape))
         tables = celldiag.enumerate_tables(shape)
         records = [t.to_json() for t in tables]
         lines = [str(t.to_json()["steps2"]) for t in tables]
     elif kind == "sssyt":
-        chains = youngt.enumerate_sssyt(_nu(args))
+        nu = _nu(args)
+        _charge_enumeration(args, nu)
+        chains = youngt.enumerate_sssyt(nu)
         records = [s.to_json() for s in chains]
         lines = [str(s.to_json()["chain"]) for s in chains]
     else:  # gtp
-        patterns = youngt.enumerate_gtp(_nu(args))
+        nu = _nu(args)
+        if nu.N >= 3:  # enumerate_gtp refuses a lower height as a usage error
+            _charge_enumeration(args, nu)
+        patterns = youngt.enumerate_gtp(nu)
         records = [p.to_json() for p in patterns]
         lines = [str(p.to_json()) for p in patterns]
     payload = {"schema": SCHEMA, "kind": kind, "records": records, "count": len(records)}
     _emit(args, payload, lines + [f"count: {len(records)}"])
     return EXIT_OK
+
+
+def _charge_enumeration(args, nu):
+    """Refuse up front an enumeration of more than 2^budget records. Tables, chains and
+    patterns of shape nu (f_map of the table shape) are equinumerous: count_sssyt(nu)."""
+    crystal._check_budget(max(youngt.count_sssyt(nu) - 1, 0).bit_length(), _budget_bits(args))
 
 
 def _nu(args):
@@ -289,9 +301,9 @@ READS = {
     "enumerate": {
         "delta": (_DIMS, _DIMS, _TEXT),
         "diagrams": (_DIMS, _DIMS, _TEXT),
-        "tables": (("lam", "N", "n"), ("lam", "N"), _TEXT),
-        "sssyt": (_NU, _NU, _TEXT),
-        "gtp": (_NU, _NU, _TEXT),
+        "tables": (("lam", "N", "n", "budget_bits"), ("lam", "N"), _TEXT),
+        "sssyt": (_NU + ("budget_bits",), _NU, _TEXT),
+        "gtp": (_NU + ("budget_bits",), _NU, _TEXT),
     },
     "convert": {
         "table": (("payload", "check"), (), _TEXT),

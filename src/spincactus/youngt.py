@@ -8,7 +8,9 @@ connected by the bijections y_map and j_map below.
 
 All three read their data once: a step whose coordinate n+1-j is -1/2 (at odd n and j = 1:
 whose last one is +1/2) grows column j, a GT row is a level's shorter diagram, doubled, and
-j_inverse reads level k back as |beta_k|/2 or its associate.
+j_inverse reads level k back as |beta_k|/2 or its associate. y_map and y_inverse read each step
+from one memo per rank, filled as steps are met (at most 2^n): step -> its grown coordinates,
+and the mask of a strip's grown coordinates -> its step.
 
 Records are validated where they enter: the constructors, from_json, f_map, y_map, y_inverse
 (through CellTable) and j_map. Each rule is one index loop over row tuples: a diagram's rows,
@@ -125,7 +127,7 @@ def f_inverse(v: ShortYoungDiagram) -> CellDiagram:
 
 def _associate_rows(rows, big_n):
     """The rows of the associate: the first column becomes big_n minus itself."""
-    wide = tuple(x for x in rows if x > 1)  # the c_2 rows past the first column stay
+    wide = rows[:len(rows) - rows.count(1)]  # the c_2 rows past the first column stay
     return wide + (1,) * (big_n - len(rows) - len(wide))
 
 
@@ -286,17 +288,43 @@ def _growing_signs(n):
     return (-1,) * (n - 1) + (1 if n % 2 else -1,)
 
 
+_STEP_MEMO = {}  # rank n -> ({grown mask: step}, {step coords2: grown coordinates})
+
+
+def _step_memo(n):
+    """Rank n's step memo, filled by _enter_step as steps are met: at most its 2^n steps."""
+    memo = _STEP_MEMO.get(n)
+    if memo is None:
+        memo = _STEP_MEMO[n] = ({}, {})
+    return memo
+
+
+def _enter_step(n, mask):
+    """Enter the rank-n step growing the coordinates i with bit i of mask set into its memo;
+    returns the step and those coordinates, ascending."""
+    steps, grown_of = _step_memo(n)
+    step = steps[mask] = trusted(Weight, tuple(s if mask >> i & 1 else -s
+                                               for i, s in enumerate(_growing_signs(n))))
+    grown = grown_of[step.coords2] = tuple(i for i in range(n) if mask >> i & 1)
+    return step, grown
+
+
 def y_map(t: CellTable) -> SSYTable:
-    """f_map of each prefix diagram: a column growing from L to L + 1 adds a box to row L + 1."""
+    """f_map of each prefix diagram: a column growing from L to L + 1 adds a box to row L + 1.
+    Each step's grown coordinates are read from the rank's step memo."""
     n = t.height
-    signs = _growing_signs(n)
+    grown_of = _step_memo(n)[1]
     cols, rows, chain = [0] * n, [0] * t.length, []
     try:
         for k, mu in enumerate(t.steps, 1):
-            for i, c in enumerate(mu.coords2):
-                if c == signs[i]:
-                    rows[cols[i]] += 1
-                    cols[i] += 1
+            grown = grown_of.get(mu.coords2)
+            if grown is None:
+                signs = _growing_signs(n)
+                grown = _enter_step(n, sum(1 << i for i, c in enumerate(mu.coords2)
+                                           if c == signs[i]))[1]
+            for i in grown:
+                rows[cols[i]] += 1
+                cols[i] += 1
             chain.append(ShortYoungDiagram(tuple(rows[:max(cols)]), k, n))
         return SSYTable(tuple(chain))
     except ValidationError as exc:  # pragma: no cover - guaranteed for valid input
@@ -304,16 +332,20 @@ def y_map(t: CellTable) -> SSYTable:
 
 
 def y_inverse(s: SSYTable) -> CellTable:
-    """Step k grows the columns of level k's strip: old_i + 1..new_i for each row i. The
+    """Step k grows the columns of level k's strip, old_i + 1..new_i for each row i: step
+    coordinates n - new_i..n - old_i - 1, read as a mask from the rank's step memo. The
     steps are built through trusted; validating the CellTable checks each of them."""
     n = s.chain[0].n
-    signs = _growing_signs(n)
+    steps_of = _step_memo(n)[0]
     steps, old = [], ()
     for v in s.chain:
-        c = [-x for x in signs]
+        mask = 0
         for o, new in zip(old + (0,), v.rows):  # a strip opens at most one row
-            c[n - new:n - o] = signs[n - new:n - o]
-        steps.append(trusted(Weight, tuple(c)))
+            mask |= (1 << n - o) - (1 << n - new)
+        step = steps_of.get(mask)
+        if step is None:
+            step = _enter_step(n, mask)[0]
+        steps.append(step)
         old = v.rows
     return CellTable(tuple(steps))
 

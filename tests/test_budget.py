@@ -1,7 +1,9 @@
 """The node budget: one check of budget_bits and one bounded closure for every scan."""
 
+import hashlib
 import json
 
+import answers
 import pytest
 
 from spincactus.cactus import XiCache, orbit, parse_cactus_word
@@ -187,3 +189,45 @@ def test_stored_tops_are_charged_on_every_call(scan):
     with pytest.raises(BudgetExceededError) as info:
         scan(crystal, 7)
     assert (info.value.needed_bits, info.value.budget_bits) == (8, 7)
+
+
+# the corpus's bounded enumerations: tables, chains and patterns of one shape
+ENUMERATIONS = [argv for argv in answers.COMMANDS
+                if argv[:2] in (["enumerate", kind] for kind in ("tables", "sssyt", "gtp"))]
+
+
+@pytest.mark.parametrize("argv", ENUMERATIONS, ids=answers.key)
+def test_enumerations_print_the_recorded_answer_within_the_budget(capsys, argv):
+    recorded = json.loads(answers.CORPUS.read_text())[answers.key(argv)]
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    bits = smallest_bits(json.loads(capsys.readouterr().out)["count"])
+    for extra in ([], ["--budget-bits", str(bits)]):
+        assert answers.answer(argv + extra) == (recorded["exit"], recorded["sha256"])
+    if bits > 0:
+        empty = hashlib.sha256(b"").hexdigest()
+        assert answers.answer(argv + ["--budget-bits", str(bits - 1)]) == (EXIT_BUDGET, empty)
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (["enumerate", "tables", "--lambda", "1,1,1", "--N", "13"], 25),  # 18,076,916 tables
+    (["enumerate", "tables", "--lambda", "1,1,1,1,1,1,1", "--N", "25"], 99),
+    (["enumerate", "sssyt", "--nu", "3,3,2,1", "--N", "12", "--n", "4"], 21),  # 1,281,280
+    (["enumerate", "gtp", "--nu", "4,4,3,1", "--N", "11", "--n", "4"], 24),
+])
+def test_enumerations_past_the_budget_exit_3_before_listing(capsys, monkeypatch, argv, bits):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    assert main(argv) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {BudgetExceededError(bits, 20)}\n"
+
+
+def test_a_pattern_height_below_3_is_refused_before_the_budget(capsys):
+    argv = ["enumerate", "gtp", "--nu", "1", "--N", "2", "--n", "2", "--budget-bits", "0"]
+    assert main(argv) == EXIT_USAGE  # its two chains would need 1 bit
+    assert capsys.readouterr().err == "error: patterns are only defined for ambient height >= 3\n"
+
+
+@pytest.mark.parametrize("kind", ["delta", "diagrams"])
+def test_weight_enumerations_do_not_read_the_budget(capsys, kind):
+    assert main(["enumerate", kind, "--n", "2", "--N", "3", "--budget-bits", "5"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --budget-bits is not read by enumerate {kind}\n"

@@ -527,7 +527,7 @@ def test_each_command_declares_only_the_options_it_reads():
         for name, sub in commands.choices.items()
     }
     assert declared == {
-        "enumerate": ["--N", "--format", "--lambda", "--n", "--nu"],
+        "enumerate": ["--N", "--budget-bits", "--format", "--lambda", "--n", "--nu"],
         "convert": ["--N", "--check", "--format", "--n", "--nu", "--payload"],
         "act": ["--as", "--budget-bits", "--format", "--payload", "--word"],
         "verify": ["--N", "--budget-bits", "--format", "--n", "--seed"],

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from spincactus import youngt
 from spincactus.celldiag import (
     diagram_of_weight,
     enumerate_delta,
@@ -21,8 +22,13 @@ from spincactus.youngt import (
     GTPattern,
     SSYTable,
     ShortYoungDiagram,
+    _associate_rows,
     _child_ranges,
+    _enter_step,
+    _growing_signs,
     _interlacing_children,
+    _rows_from_columns,
+    _step_memo,
     _strip,
     associated,
     branch_syd,
@@ -504,3 +510,44 @@ def test_round_trips_sampled_large():
                 assert y_inverse(s) == t
                 p = j_map(s)
                 assert j_inverse(p, nu) == s
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_step_memo_grows_exactly_the_mask(monkeypatch, n):
+    # bit i of a mask is step coordinate i; the step it names has the growing sign there
+    # and the opposite sign elsewhere, and its grown coordinates give the mask back
+    monkeypatch.setattr(youngt, "_STEP_MEMO", {})
+    signs = _growing_signs(n)
+    for mask in range(1 << n):
+        step, grown = _enter_step(n, mask)
+        steps, grown_of = _step_memo(n)
+        assert steps[mask] is step and grown_of[step.coords2] == grown
+        assert {abs(c) for c in step.coords2} == {1}
+        assert {i for i, c in enumerate(step.coords2) if c == signs[i]} == set(grown)
+        assert list(grown) == sorted(grown) and sum(1 << i for i in grown) == mask
+    assert len(steps) == len(grown_of) == 1 << n
+
+
+def test_step_memo_holds_at_most_the_rank_steps(monkeypatch):
+    monkeypatch.setattr(youngt, "_STEP_MEMO", {})
+    for n, big_n in ((3, 6), (4, 5)):
+        for lam in enumerate_delta(n, big_n):
+            for t in enumerate_tables(diagram_of_weight(lam, big_n)):
+                assert y_inverse(y_map(t)) == t
+    assert sorted(youngt._STEP_MEMO) == [3, 4]
+    for n, (steps, grown_of) in youngt._STEP_MEMO.items():
+        assert 0 < len(steps) <= 1 << n and 0 < len(grown_of) <= 1 << n
+        assert {step.coords2 for step in steps.values()} == set(grown_of)
+
+
+def test_associate_rows_slice_matches_the_definition():
+    for big_n in range(10):
+        for n in range(2, 6):
+            for v in _all_syd(n, big_n):
+                rows = v.rows
+                wide = tuple(x for x in rows if x > 1)
+                filtered = wide + (1,) * (big_n - len(rows) - len(wide))
+                # the first column becomes big_n minus itself, the others stay
+                cols = (big_n - len(rows),) + v.columns()[1:]
+                assert _associate_rows(rows, big_n) == filtered == associated(v).rows
+                assert filtered == _rows_from_columns(cols), v
