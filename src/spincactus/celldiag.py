@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from math import comb
 from operator import add
 
 from .errors import ValidationError
@@ -82,12 +83,29 @@ def weight_of_diagram(d: CellDiagram) -> Weight:
     return Weight(tuple(ri - li for li, ri in zip(d.l, d.r)))
 
 
-def enumerate_delta(n: int, big_n: int) -> list[Weight]:
-    """All member weights at height n and length big_n, descending lex order."""
+def _check_delta_dims(n, big_n):
     if n < 2:
         raise ValidationError(f"height must be at least 2, got {n}")
     if big_n < 1:
         raise ValidationError(f"length must be positive, got {big_n}")
+
+
+def count_delta(n: int, big_n: int) -> int:
+    """len(enumerate_delta(n, big_n)), without building the weights.
+
+    On doubled coordinates a member is N >= c_1 >= ... >= c_{n-1} >= |c_n|, each of
+    N's parity. Fixing c_{n-1} = N - 2j leaves N + 1 - 2j values of c_n and
+    C(j + n - 2, n - 2) choices of c_1..c_{n-2}; the hockey-stick identity sums that
+    over j = 0..K, K = N // 2, to (N + 1) C(K + n - 1, n - 1) - 2 (n - 1) C(K + n - 1, n).
+    """
+    _check_delta_dims(n, big_n)
+    k = big_n // 2
+    return (big_n + 1) * comb(k + n - 1, n - 1) - 2 * (n - 1) * comb(k + n - 1, n)
+
+
+def enumerate_delta(n: int, big_n: int) -> list[Weight]:
+    """All member weights at height n and length big_n, descending lex order."""
+    _check_delta_dims(n, big_n)
     out = []
 
     def extend(prefix):

@@ -71,34 +71,35 @@ def _load_payload(args):
 
 def cmd_enumerate(args):
     kind = args.kind
-    if kind == "delta":
+    if kind in ("delta", "diagrams"):
+        _charge_enumeration(args, celldiag.count_delta(args.n, args.N))
         lams = celldiag.enumerate_delta(args.n, args.N)
-        records = [lam.to_json() for lam in lams]
-        lines = [str(lam.to_json()) for lam in lams]
-    elif kind == "diagrams":
-        lams = celldiag.enumerate_delta(args.n, args.N)
-        diagrams = [celldiag.diagram_of_weight(lam, args.N) for lam in lams]
-        records = [d.to_json() for d in diagrams]
-        lines = [f"l={list(d.l)} r={list(d.r)}" for d in diagrams]
+        if kind == "delta":
+            records = [lam.to_json() for lam in lams]
+            lines = [str(lam.to_json()) for lam in lams]
+        else:
+            diagrams = [celldiag.diagram_of_weight(lam, args.N) for lam in lams]
+            records = [d.to_json() for d in diagrams]
+            lines = [f"l={list(d.l)} r={list(d.r)}" for d in diagrams]
     elif kind == "tables":
         lam = Weight(_parse_csv_ints(args.lam))
         if args.n is not None and args.n != lam.rank:
             raise ValidationError(f"--n {args.n} does not match the rank {lam.rank} of --lambda")
         shape = celldiag.diagram_of_weight(lam, args.N)
-        _charge_enumeration(args, youngt.f_map(shape))
+        _charge_enumeration(args, youngt.count_sssyt(youngt.f_map(shape)))
         tables = celldiag.enumerate_tables(shape)
         records = [t.to_json() for t in tables]
         lines = [str(t.to_json()["steps2"]) for t in tables]
     elif kind == "sssyt":
         nu = _nu(args)
-        _charge_enumeration(args, nu)
+        _charge_enumeration(args, youngt.count_sssyt(nu))
         chains = youngt.enumerate_sssyt(nu)
         records = [s.to_json() for s in chains]
         lines = [str(s.to_json()["chain"]) for s in chains]
     else:  # gtp
         nu = _nu(args)
         if nu.N >= 3:  # enumerate_gtp refuses a lower height as a usage error
-            _charge_enumeration(args, nu)
+            _charge_enumeration(args, youngt.count_sssyt(nu))
         patterns = youngt.enumerate_gtp(nu)
         records = [p.to_json() for p in patterns]
         lines = [str(p.to_json()) for p in patterns]
@@ -107,10 +108,11 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
-def _charge_enumeration(args, nu):
-    """Refuse up front an enumeration of more than 2^budget records. Tables, chains and
-    patterns of shape nu (f_map of the table shape) are equinumerous: count_sssyt(nu)."""
-    crystal._check_budget(max(youngt.count_sssyt(nu) - 1, 0).bit_length(), _budget_bits(args))
+def _charge_enumeration(args, count):
+    """Refuse up front an enumeration of more than 2^budget records. Weights and diagrams
+    number count_delta(n, N); tables, chains and patterns of shape nu (f_map of the table
+    shape) are equinumerous, count_sssyt(nu)."""
+    crystal._check_budget(max(count - 1, 0).bit_length(), _budget_bits(args))
 
 
 def _nu(args):
@@ -299,8 +301,8 @@ _DIMS = ("n", "N")
 _NU = ("nu", "N", "n")
 READS = {
     "enumerate": {
-        "delta": (_DIMS, _DIMS, _TEXT),
-        "diagrams": (_DIMS, _DIMS, _TEXT),
+        "delta": (_DIMS + ("budget_bits",), _DIMS, _TEXT),
+        "diagrams": (_DIMS + ("budget_bits",), _DIMS, _TEXT),
         "tables": (("lam", "N", "n", "budget_bits"), ("lam", "N"), _TEXT),
         "sssyt": (_NU + ("budget_bits",), _NU, _TEXT),
         "gtp": (_NU + ("budget_bits",), _NU, _TEXT),

@@ -66,8 +66,8 @@ def _check(checks, name, ok, detail=""):
     checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
 
-def _pairing(wt: Weight, i, n):
-    c2 = wt.coords2
+def _pairing(c2, i, n):
+    """<wt, alpha_i^vee> of the weight with doubled coordinates c2."""
     if i < n:
         return (c2[i - 1] - c2[i]) // 2
     return (c2[n - 2] + c2[n - 1]) // 2
@@ -176,6 +176,10 @@ class XiTableReference(XiCache):
 
 
 def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS):
+    """The crystal axioms on every word of every power N <= big_n_max, and tensor_e/f
+    against the literal two-factor recursion. Each word's weight is computed once per
+    power into a table of doubled coordinates, one entry per word (at most 2^budget_bits,
+    charged up front), which the weight-shift checks read at the e/f-neighbour."""
     # the largest whole-crystal scan: N factors at the largest rank
     _check_budget(max(n_values) * big_n_max, budget_bits)
     checks = []
@@ -183,6 +187,7 @@ def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGE
         crystal = SpinCrystal(n)
         # the reference's eps_i by (i, word) on heads shorter than N: n*sum_{k<N} 2^(nk) at most
         eps_memo = {}
+        roots = [(i, _root2(i, n)) for i in range(1, n + 1)]
         wts = sorted((crystal.element_weight(b) for b in crystal.elements()),
                      key=lambda w: w.coords2, reverse=True)
         _check(
@@ -192,25 +197,22 @@ def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGE
             "weight multiset of the basic crystal is all sign vectors, once each",
         )
         for big_n in range(1, big_n_max + 1):
+            weights = {w: crystal.word_weight(w).coords2 for w in crystal.all_words(big_n)}
             bad = []
-            for w in crystal.all_words(big_n):
-                wt = crystal.word_weight(w)
-                for i in range(1, n + 1):
+            for w, c2 in weights.items():
+                for i, root in roots:
                     eps, phi = crystal.eps(i, w), crystal.phi(i, w)
-                    if phi - eps != _pairing(wt, i, n):
+                    if phi - eps != _pairing(c2, i, n):
                         bad.append(("pairing", w, i))
-                    root = _root2(i, n)
                     down = crystal.tensor_f(i, w)
                     if down is not None:
-                        shift = tuple(a - b for a, b in zip(wt.coords2, root))
-                        if crystal.word_weight(down).coords2 != shift:
+                        if weights.get(down) != tuple(a - b for a, b in zip(c2, root)):
                             bad.append(("weight-shift-f", w, i))
                         if crystal.tensor_e(i, down) != w:
                             bad.append(("ef-adjoint", w, i))
                     up = crystal.tensor_e(i, w)
                     if up is not None:
-                        shift = tuple(a + b for a, b in zip(wt.coords2, root))
-                        if crystal.word_weight(up).coords2 != shift:
+                        if weights.get(up) != tuple(a + b for a, b in zip(c2, root)):
                             bad.append(("weight-shift-e", w, i))
                         if crystal.tensor_f(i, up) != w:
                             bad.append(("fe-adjoint", w, i))
@@ -269,6 +271,10 @@ def suite_census(n_values=(2, 3), big_n_max=5, budget_bits=DEFAULT_BUDGET_BITS):
 
 
 def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS):
+    """xi is an involution with the w0 weight rule on every word of every power, the
+    commutor is involutive on two factors, and the coboundary square holds on three.
+    xi of each word is computed once per power into a table, one entry per word (at most
+    2^budget_bits, charged up front), and the involution reads each image's image there."""
     # the largest whole-crystal scan: N factors (at least two) per rank, three at n=2
     _check_budget(max([6] + [n * max(big_n_max, 2) for n in n_values]), budget_bits)
     checks = []
@@ -276,10 +282,10 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
         crystal = SpinCrystal(n)
         cache = XiCache(crystal, budget_bits)
         for big_n in range(1, big_n_max + 1):
+            images = {w: cache.xi_word(w) for w in crystal.all_words(big_n)}
             bad = 0
-            for w in crystal.all_words(big_n):
-                image = cache.xi_word(w)
-                if cache.xi_word(image) != w:
+            for w, image in images.items():
+                if images.get(image) != w:
                     bad += 1
                 if crystal.word_weight(image) != w0_image(crystal.word_weight(w)):
                     bad += 1
@@ -307,35 +313,42 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
 
 
 def _generator_permutations(n, big_n, budget_bits):
+    """Each generator's action on each shape's tables, as the list of the image's index
+    in that shape's enumerate_tables list: one act_on_table per (generator, table)."""
     crystal = SpinCrystal(n)
     cache = XiCache(crystal, budget_bits)
     gens = [(p, q) for p in range(1, big_n + 1) for q in range(p + 1, big_n + 1)]
     shapes = [enumerate_tables(diagram_of_weight(lam, big_n)) for lam in enumerate_delta(n, big_n)]
     # one action per (generator, table): refuse up front a total past the node limit
     _check_budget(max(len(gens) * sum(map(len, shapes)) - 1, 0).bit_length(), budget_bits)
-    perms = [
-        {gen: {t: act_on_table(cache, [gen], t) for t in tables} for gen in gens}
-        for tables in shapes
-    ]
+    perms = []
+    for tables in shapes:
+        index = {t: k for k, t in enumerate(tables)}
+        perms.append({gen: [index[act_on_table(cache, [gen], t)] for t in tables]
+                      for gen in gens})
     return gens, perms
 
 
 def suite_cactus_relations(n=2, big_n=4, budget_bits=DEFAULT_BUDGET_BITS):
+    """The cactus relations of Henriques-Kamnitzer on the tables of every shape: each
+    generator is a bijective involution, disjoint generators commute, and the nested
+    relation holds, with its image in the symmetric group. Every generator acts once per
+    table; the checks compose those actions as lists of table indices."""
     checks = []
     gens, perms = _generator_permutations(n, big_n, budget_bits)
     involution_ok = True
     bijective_ok = True
     for by_gen in perms:
-        for mapping in by_gen.values():
-            if len(set(mapping.values())) != len(mapping):
+        for image in by_gen.values():
+            if len(set(image)) != len(image):
                 bijective_ok = False
-            if any(mapping[mapping[t]] != t for t in mapping):
+            if any(image[j] != k for k, j in enumerate(image)):
                 involution_ok = False
     _check(checks, "generators permute each table set", bijective_ok)
     _check(checks, "generators are involutions", involution_ok)
 
-    def compose(mapping_outer, mapping_inner):
-        return {t: mapping_outer[mapping_inner[t]] for t in mapping_inner}
+    def compose(outer, inner):
+        return [outer[j] for j in inner]
 
     disjoint_ok = True
     nested_ok = True

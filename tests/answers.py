@@ -60,6 +60,8 @@ COMMANDS = [
     *(["verify", kind] for kind in SUITES),
     ["verify", "bijections", "--n", "3", "--N", "5"],
     ["verify", "cactus-relations", "--n", "3", "--N", "4"],
+    ["verify", "commutor", "--n", "3", "--N", "5"],
+    ["verify", "crystal-axioms", "--n", "2", "--N", "6"],
     ["verify", "thm2", "--n", "4", "--N", "3"],
     ["verify", "thm52", "--n", "4", "--N", "5"],
     ["enumerate", "delta", "--n", "2", "--N", "3"],

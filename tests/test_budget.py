@@ -191,9 +191,9 @@ def test_stored_tops_are_charged_on_every_call(scan):
     assert (info.value.needed_bits, info.value.budget_bits) == (8, 7)
 
 
-# the corpus's bounded enumerations: tables, chains and patterns of one shape
-ENUMERATIONS = [argv for argv in answers.COMMANDS
-                if argv[:2] in (["enumerate", kind] for kind in ("tables", "sssyt", "gtp"))]
+# the corpus's enumerations, every one bounded: weights, diagrams, and tables, chains and
+# patterns of one shape
+ENUMERATIONS = [argv for argv in answers.COMMANDS if argv[0] == "enumerate"]
 
 
 @pytest.mark.parametrize("argv", ENUMERATIONS, ids=answers.key)
@@ -209,6 +209,8 @@ def test_enumerations_print_the_recorded_answer_within_the_budget(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, bits", [
+    (["enumerate", "delta", "--n", "2", "--N", "100000"], 32),  # 50,001^2 weights
+    (["enumerate", "diagrams", "--n", "4", "--N", "400"], 28),  # 138,743,801 diagrams
     (["enumerate", "tables", "--lambda", "1,1,1", "--N", "13"], 25),  # 18,076,916 tables
     (["enumerate", "tables", "--lambda", "1,1,1,1,1,1,1", "--N", "25"], 99),
     (["enumerate", "sssyt", "--nu", "3,3,2,1", "--N", "12", "--n", "4"], 21),  # 1,281,280
@@ -228,6 +230,15 @@ def test_a_pattern_height_below_3_is_refused_before_the_budget(capsys):
 
 
 @pytest.mark.parametrize("kind", ["delta", "diagrams"])
-def test_weight_enumerations_do_not_read_the_budget(capsys, kind):
-    assert main(["enumerate", kind, "--n", "2", "--N", "3", "--budget-bits", "5"]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: --budget-bits is not read by enumerate {kind}\n"
+def test_weight_enumerations_read_the_budget_flag_and_env(capsys, monkeypatch, kind):
+    argv = ["enumerate", kind, "--n", "2", "--N", "3"]  # 6 weights: 3 bits
+    assert main(argv + ["--budget-bits", "2"]) == EXIT_BUDGET
+    assert main(argv + ["--budget-bits", "3"]) == EXIT_OK
+    monkeypatch.setenv("CACTUS_BUDGET_BITS", "2")
+    assert main(argv) == EXIT_BUDGET
+    assert main(argv + ["--budget-bits", "3"]) == EXIT_OK
+    monkeypatch.setenv("CACTUS_BUDGET_BITS", "x")
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count(f"error: {BudgetExceededError(3, 2)}\n") == 2
+    assert err.endswith("error: CACTUS_BUDGET_BITS must be an integer, got 'x'\n")

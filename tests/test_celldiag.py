@@ -4,6 +4,7 @@ from spincactus.celldiag import (
     CellDiagram,
     CellTable,
     contains,
+    count_delta,
     diagram_of_weight,
     enumerate_delta,
     enumerate_tables,
@@ -88,6 +89,25 @@ def test_enumerate_delta_small():
     assert [w.coords2 for w in enumerate_delta(2, 2)] == expected
     assert expected == [(2, 2), (2, 0), (2, -2), (0, 0)]
     assert WORKED_WEIGHT in enumerate_delta(4, 7)
+
+
+def test_count_delta_is_the_length_of_enumerate_delta():
+    for n in range(2, 8):
+        for big_n in range(1, 13):
+            assert count_delta(n, big_n) == len(enumerate_delta(n, big_n)), (n, big_n)
+    # at n = 2 the members are N >= c_1 >= |c_2|: (K+1)^2 at N = 2K, (K+1)(K+2) at N = 2K+1
+    assert count_delta(2, 100000) == 50001 ** 2
+    assert count_delta(2, 99999) == 50000 * 50001
+
+
+@pytest.mark.parametrize("n, big_n, message", [
+    (1, 3, "height must be at least 2, got 1"),
+    (2, 0, "length must be positive, got 0"),
+])
+def test_count_delta_refuses_what_enumerate_delta_refuses(n, big_n, message):
+    for func in (count_delta, enumerate_delta):
+        with pytest.raises(ValidationError, match=message):
+            func(n, big_n)
 
 
 def test_enumerate_delta_matches_filter():

@@ -163,6 +163,86 @@ def test_verify_exits_1_when_an_oracle_disagrees(capsys, monkeypatch, kind):
     assert [c["name"] for c in report["checks"] if not c["pass"]][0] == first_failed
 
 
+# two words of weight (0,-2) at n=2, N=2 whose xi images are not each other
+SWAPPED_WORDS = {(0, 1): (1, 0), (1, 0): (0, 1)}
+
+
+def _xi_swapping_two_words(real):
+    """An XiCache whose xi swaps the images of two words of one weight: the w0 weight rule
+    still holds, the involution does not."""
+    class Swapped(real):
+        def xi_word(self, w):
+            return super().xi_word(SWAPPED_WORDS.get(w, w))
+    return Swapped
+
+
+def _weight_wrong_on_an_f_neighbour(real):
+    """A crystal whose word_weight of (0, 2) = f_1(0, 1) is that of (0, 1)."""
+    class Wrong(real):
+        def word_weight(self, w):
+            return super().word_weight((0, 1) if w == (0, 2) else w)
+    return Wrong
+
+
+def _act_breaking_one_involution(real):
+    """s(1,2) composed with the swap of two tables x, y of one shape, where s(1,2) moves x
+    and y is neither x nor its image: still a bijection, no longer an involution."""
+    cache = suites.XiCache(suites.SpinCrystal(2))
+    for lam in suites.enumerate_delta(2, 3):
+        tables = suites.enumerate_tables(suites.diagram_of_weight(lam, 3))
+        moved = [t for t in tables if real(cache, [(1, 2)], t) != t]
+        if moved and len(tables) > 2:
+            x = moved[0]
+            y = next(t for t in tables if t not in (x, real(cache, [(1, 2)], x)))
+            break
+    swap = {x: y, y: x}
+    return lambda cache, gens, t: real(cache, gens, swap.get(t, t) if gens == [(1, 2)] else t)
+
+
+def _act_s34_as_s23(real):
+    """s(3,4) acting as s(2,3), an involution that does not commute with s(1,2)."""
+    return lambda cache, gens, t: real(cache, [(2, 3)] if gens == [(3, 4)] else gens, t)
+
+
+# fault -> (suite, the suites attribute replaced, its stand-in from the real one, sizes,
+# the first check that must fail, and its detail): one planted fault per check that reads
+# a per-word or per-table answer computed once
+PLANTED_FAULTS = {
+    # the two swapped words, and the two words whose images they are
+    "xi-involution": ("commutor", "XiCache", _xi_swapping_two_words, ["--n", "2", "--N", "2"],
+                      "xi involution and weight rule n=2 N=2", "4 violations"),
+    # one pairing at (0, 2); the weight shifts into (0, 2) from (0, 1) and (3, 2), and out
+    # of it by e_1 and e_2
+    "weight-shift": ("crystal-axioms", "SpinCrystal", _weight_wrong_on_an_f_neighbour,
+                     ["--n", "2", "--N", "2"], "axioms n=2 N=2", "5 violations"),
+    "generator-involution": ("cactus-relations", "act_on_table", _act_breaking_one_involution,
+                             ["--n", "2", "--N", "3"], "generators are involutions", ""),
+    "disjoint-commute": ("cactus-relations", "act_on_table", _act_s34_as_s23,
+                         ["--n", "2", "--N", "4"], "disjoint generators commute", ""),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_verify_exits_1_on_a_planted_fault(capsys, monkeypatch, fault):
+    kind, name, plant, sizes, first_failed, detail = PLANTED_FAULTS[fault]
+    monkeypatch.setattr(suites, name, plant(getattr(suites, name)))
+    code, out, _ = run(capsys, "verify", kind, *sizes)
+    report = json.loads(out)
+    assert code == EXIT_FAIL
+    assert report["pass"] is False
+    failed = [c for c in report["checks"] if not c["pass"]][0]
+    assert (failed["name"], failed["detail"]) == (first_failed, detail)
+
+
+def test_the_swapped_xi_keeps_the_weight_rule():
+    crystal = suites.SpinCrystal(2)
+    cache = _xi_swapping_two_words(suites.XiCache)(crystal)
+    for w in crystal.all_words(2):
+        image = cache.xi_word(w)
+        assert crystal.word_weight(image) == suites.w0_image(crystal.word_weight(w))
+    assert any(cache.xi_word(cache.xi_word(w)) != w for w in SWAPPED_WORDS)
+
+
 def test_verify_budget_exit(capsys):
     code, _, err = run(
         capsys, "verify", "census", "--budget-bits", "10"
@@ -474,7 +554,7 @@ REFUSED = [
     (["act", "--word", "", "--payload", TWO_BY_TWO, "--n", "2"], "--n"),
     (["act", "--word", "", "--payload", TWO_BY_TWO, "--N", "2"], "--N"),
     (["act", "--word", "", "--payload", TWO_BY_TWO, "--seed", "3"], "--seed"),
-    (["enumerate", "delta", "--n", "2", "--N", "2", "--budget-bits", "3"], "--budget-bits"),
+    (["enumerate", "delta", "--n", "2", "--N", "2", "--payload", "{}"], "--payload"),
     (["enumerate", "delta", "--n", "2", "--N", "2", "--seed", "1"], "--seed"),
     (["convert", "table", "sssyt", "--payload", TWO_BY_TWO, "--budget-bits", "3"],
      "--budget-bits"),
