@@ -104,25 +104,27 @@ def count_delta(n: int, big_n: int) -> int:
 
 
 def enumerate_delta(n: int, big_n: int) -> list[Weight]:
-    """All member weights at height n and length big_n, descending lex order."""
+    """All member weights at height n and length big_n, descending lex order.
+
+    The doubled coordinates N >= c_1 >= ... >= c_{n-1} >= |c_n|, each of N's parity, are
+    counted down like an odometer, with no recursion: lower the last coordinate that can
+    drop by 2 and raise every later one to its new value, the largest it may take.
+    """
     _check_delta_dims(n, big_n)
+    least = big_n % 2  # c_1..c_{n-1} bound |c_n|, so none is below N's parity
+    c = [big_n] * n
     out = []
-
-    def extend(prefix):
-        i = len(prefix)
-        if i == n:  # the bounds below keep every prefix dominant
-            out.append(Weight(tuple(prefix)))
-            return
-        top = big_n if i == 0 else prefix[-1]
-        lo = -big_n
-        if i == n - 1:
-            # the last coordinate may be negative but not below -w_{n-1}
-            lo = -prefix[-1]
-        for c in range(top, lo - 1, -2):
-            extend(prefix + [c])
-
-    extend([])
-    return out
+    while True:
+        out.append(Weight(tuple(c)))
+        k = n - 1
+        if c[k] - 2 < -c[k - 1]:
+            k -= 1
+            while k >= 0 and c[k] - 2 < least:
+                k -= 1
+            if k < 0:
+                return out
+        c[k] -= 2
+        c[k + 1 :] = [c[k]] * (n - 1 - k)
 
 
 def contains(d1: CellDiagram, d2: CellDiagram) -> bool:

@@ -86,6 +86,7 @@ def cmd_enumerate(args):
         if args.n is not None and args.n != lam.rank:
             raise ValidationError(f"--n {args.n} does not match the rank {lam.rank} of --lambda")
         shape = celldiag.diagram_of_weight(lam, args.N)
+        crystal._check_budget(lam.rank, _budget_bits(args))  # each state tries the 2^n steps
         _charge_enumeration(args, youngt.count_sssyt(youngt.f_map(shape)))
         tables = celldiag.enumerate_tables(shape)
         records = [t.to_json() for t in tables]

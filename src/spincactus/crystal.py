@@ -13,15 +13,22 @@ factor: a move is one XOR with index i's mask. One code table per index says
 which move a factor allows: 1 for an eps factor (eps_i = 1), 2 for a phi factor
 (phi_i = 1), 0 for neither. In the equivalent signature rule each phi factor
 cancels the nearest open eps factor to its left; one left-to-right bracket
-pass (`_bracket`) serves e_i, f_i, eps_i, phi_i and the component walk.
-`is_highest_weight` keeps its own right-to-left pass: it stops at the first eps
-factor that no phi factor cancels, which makes the scan for tops about 3x faster
-than a `_bracket` pass per index. `to_highest_weight` raises a whole e_i-string
-per pass, flipping every open eps factor at once; `to_lowest_weight` keeps single
-`tensor_f` moves, whose calls the `act` benchmark workload counts (bench/). Each
-crystal scans a tensor power for its tops once and stores them, so the census and
-the components share one scan. The
-literal two-factor recursion stays in `suites` as the oracle
+pass (`_bracket`) serves e_i, f_i, eps_i and phi_i. `is_highest_weight` keeps
+its own right-to-left pass, which stops at the first eps factor that no phi
+factor cancels. `to_highest_weight` raises a whole e_i-string per pass, flipping
+every open eps factor at once; `to_lowest_weight` keeps single `tensor_f` moves,
+whose calls the `act` benchmark workload counts (bench/).
+
+The whole-crystal scans apply the same rule to two blocks, B^(x)h (x) B^(x)(N-h)
+with h = N // 2 (Henriques-Kamnitzer): for w = u + v, f_i acts on v when
+phi_i(v) > eps_i(u) and on u otherwise, and eps_i(w) = eps_i(v) + max(eps_i(u) -
+phi_i(v), 0). Each half-word's record (eps_i, phi_i, f_i image for every i, one
+`_bracket` pass each) is stored on the crystal, at most 2^budget_bits of them;
+past that a record is computed again. The component walk reads each member's
+successors and its top test from its two records, and the tops of power N are
+the words u + v with v a top of power N - h and eps_i(u) <= phi_i(v) for every
+i. Each crystal stores the tops of a power once, so the census and the components
+share one scan. The literal two-factor recursion stays in `suites` as the oracle
 (`tensor_e_reference`, `tensor_f_reference`).
 
 The bijection between highest-weight words and regular cell tables reads the
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import le
 
 from .celldiag import CellTable, table_from_steps
 from .errors import BudgetExceededError, ValidationError
@@ -122,6 +130,7 @@ class SpinCrystal:
         self.theta = (0,) + tuple(range(1, n - 1)) + ((n, n - 1) if n % 2 else (n - 1, n))
         self.flip = (1 << (n if n % 2 == 0 else n - 1)) - 1
         self._tops = {}  # big_n -> the highest-weight words of that power, in product order
+        self._blocks = {}  # half-word -> its (eps_i, phi_i, f_i image) for i = 1..n, see `_block`
 
     # -- single factors ----------------------------------------------------
 
@@ -203,7 +212,7 @@ class SpinCrystal:
     def is_highest_weight(self, w):
         """No e_i moves w: read right to left, a pending phi factor cancels each
         eps factor. Stops at the first eps factor that none cancels, which a
-        full `_bracket` pass would not: every census scan tests each word here."""
+        full `_bracket` pass would not."""
         for code in self._code[1:]:
             pending = 0
             for b in reversed(w):
@@ -273,33 +282,59 @@ class SpinCrystal:
         """The bottom of w's component; appends the f-indices used to path, if given."""
         return self._walk(w, self.tensor_f, path)
 
-    def component_members(self, w, budget_bits=DEFAULT_BUDGET_BITS):
-        """All words in the component of w, found by lowering from its top.
+    def _block(self, w, limit):
+        """w's record, flat: eps_i, phi_i and f_i(w) (None for no move) for i = 1..n,
+        from one `_bracket` pass each. The crystal stores at most limit records;
+        past that a record is computed again on each call."""
+        rec = self._blocks.get(w)
+        if rec is None:
+            rec = []
+            for i in range(1, self.n + 1):
+                phi, pos, eps, _ = self._bracket(i, w)
+                image = None if pos is None else w[:pos] + (w[pos] ^ self._mask[i],) + w[pos + 1 :]
+                rec += (eps, phi, image)
+            rec = tuple(rec)
+            if len(self._blocks) < limit:
+                self._blocks[w] = rec
+        return rec
 
-        One `_bracket` pass per index gives a member's f_i-successor and its open
-        eps count: a member with none open is a top, one with no successor a bottom.
-        """
-        hw = self.to_highest_weight(w)
-        indices, mask, bracket = range(1, self.n + 1), self._mask, self._bracket
-        tops = bottoms = 0
+    def _lowering(self, h, limit):
+        """successors(w) for `closure`: the f_i(w) that exist, in index order, read from
+        the records of u = w[:h] and v = w[h:] by the tensor rule. v's phi factors
+        cancel open eps factors of u, so f_i acts on v when phi_i(v) > eps_i(u) and on u
+        otherwise, and eps_i(w) = eps_i(v) + max(eps_i(u) - phi_i(v), 0). Also returns
+        counts = [tops, bottoms] among the words seen: none open, no successor."""
+        blocks, block = self._blocks, self._block
+        counts = [0, 0]
 
-        def successors(cur):
-            nonlocal tops, bottoms
+        def successors(w):
+            u, v = w[:h], w[h:]
+            rec_u = iter(blocks.get(u) or block(u, limit))
+            rec_v = iter(blocks.get(v) or block(v, limit))
             down = []
-            opened = 0  # open eps factors over all indices: none on the top word
-            for i in indices:
-                _, pos, depth, _ = bracket(i, cur)
-                opened += depth
-                if pos is not None:
-                    down.append(cur[:pos] + (cur[pos] ^ mask[i],) + cur[pos + 1 :])
-            tops += not opened
-            bottoms += not down
+            opened = 0  # open eps factors over all indices
+            for eps_u, phi_u, f_u, eps_v, phi_v, f_v in zip(rec_u, rec_u, rec_u, rec_v, rec_v, rec_v):
+                opened += eps_v
+                if phi_v > eps_u:
+                    down.append(u + f_v)
+                else:
+                    opened += eps_u - phi_v
+                    if phi_u:
+                        down.append(f_u + v)
+            counts[0] += not opened
+            counts[1] += not down
             return down
 
+        return successors, counts
+
+    def component_members(self, w, budget_bits=DEFAULT_BUDGET_BITS):
+        """All words in the component of w, found by lowering from its top; each
+        member's successors and open eps factors come from the records of its two
+        halves, split at N // 2 (`_lowering`)."""
+        hw = self.to_highest_weight(w)
+        successors, counts = self._lowering(len(hw) // 2, node_limit(budget_bits))
         members = closure(hw, successors, budget_bits)
-        assert tops == 1 and bottoms == 1, (
-            "every component must have exactly one top and one bottom word"
-        )
+        assert counts == [1, 1], "every component must have exactly one top and one bottom word"
         return hw, members
 
     # -- whole-crystal scans --------------------------------------------------
@@ -324,11 +359,29 @@ class SpinCrystal:
         return [comp for _, comp in found]
 
     def highest_weight_words(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
-        """The tops of the N-th tensor power in product order; one scan per crystal and N."""
+        """The tops of the N-th tensor power in product order; one scan per crystal and N.
+
+        u + v with |u| = N // 2 is a top exactly when v is a top of power N - |u| and
+        eps_i(u) <= phi_i(v) for every i, so the scan pairs every u with the stored
+        tops v of power N - |u|; powers 0 and 1 are tested word by word."""
         _check_budget(self.n * big_n, budget_bits)
         tops = self._tops.get(big_n)
         if tops is None:
-            tops = self._tops[big_n] = tuple(filter(self.is_highest_weight, self.all_words(big_n)))
+            h = big_n // 2
+            if not h:
+                tops = tuple(filter(self.is_highest_weight, self.all_words(big_n)))
+            else:
+                limit = node_limit(budget_bits)
+                rights = [
+                    (v, self._block(v, limit)[1::3])
+                    for v in self.highest_weight_words(big_n - h, budget_bits)
+                ]
+                tops = []
+                for u in self.all_words(h):
+                    eps_u = self._block(u, limit)[::3]
+                    tops += [u + v for v, phi_v in rights if all(map(le, eps_u, phi_v))]
+                tops = tuple(tops)
+            self._tops[big_n] = tops
         return list(tops)
 
     def hw_census(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):

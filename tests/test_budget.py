@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import answers
 import pytest
@@ -242,3 +243,26 @@ def test_weight_enumerations_read_the_budget_flag_and_env(capsys, monkeypatch, k
     err = capsys.readouterr().err
     assert err.count(f"error: {BudgetExceededError(3, 2)}\n") == 2
     assert err.endswith("error: CACTUS_BUDGET_BITS must be an integer, got 'x'\n")
+
+
+@pytest.mark.parametrize("kind", ["delta", "diagrams"])
+def test_weights_of_a_large_height_list_in_bounded_time(capsys, kind):
+    # two weights; a walk that recursed once per coordinate ended in a RecursionError
+    start = time.perf_counter()
+    assert main(["enumerate", kind, "--n", "1200", "--N", "1"]) == EXIT_OK
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["count"] == 2
+
+
+def test_enumerate_tables_charges_its_rank(capsys, monkeypatch):
+    # one table, but each state tries the 2^n spinor steps
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    argv = ["enumerate", "tables", "--lambda", "1,1,1,1,1", "--N", "1"]
+    assert main(argv + ["--budget-bits", "5"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["count"] == 1
+    assert main(argv + ["--budget-bits", "4"]) == EXIT_BUDGET
+    assert capsys.readouterr() == ("", f"error: {BudgetExceededError(5, 4)}\n")
+    start = time.perf_counter()
+    assert main(["enumerate", "tables", "--lambda", ",".join(["1"] * 25), "--N", "1"]) == EXIT_BUDGET
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: {BudgetExceededError(25, 20)}\n"

@@ -418,19 +418,57 @@ def test_component_members_asserts_one_top_and_one_bottom():
     c = SpinCrystal(2)
     hw = c.to_highest_weight((0, 0))
     assert len(c.component_members(hw)[1]) > 1
-    # no factor is an eps factor any more, so no bracket opens: every member is a top
+    # no factor is an eps factor any more, so no bracket opens: every member is a top;
+    # the fault goes into a fresh crystal, as the walked one keeps its half-word records
+    c = SpinCrystal(2)
     c._code = (None,) + tuple(tuple(x & 2 for x in code) for code in c._code[1:])
     with pytest.raises(AssertionError, match="exactly one top and one bottom"):
         c.component_members(hw)
 
 
-@pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 4), (4, 3)])
+@pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 5), (4, 4)])
 def test_highest_weight_words_are_the_brute_force_tops(n, big_n_max):
+    # powers 0 and 1 are tested word by word; odd powers split into unequal halves,
+    # even ones into equal halves
     c = SpinCrystal(n)
-    for big_n in range(1, big_n_max + 1):
+    for big_n in range(big_n_max + 1):
         expected = [w for w in c.all_words(big_n) if c.is_highest_weight(w)]
         assert c.highest_weight_words(big_n) == expected
         assert c.highest_weight_words(big_n) == expected  # read back from the stored scan
+
+
+@pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 5), (4, 4)])
+def test_two_block_records_match_the_bracket_pass_at_every_split(n, big_n_max):
+    c = SpinCrystal(n)
+    limit = 1 << 20
+    indices = range(1, n + 1)
+    for big_n in range(big_n_max + 1):
+        for w in c.all_words(big_n):
+            brackets = [c._bracket(i, w) for i in indices]
+            moves = [c.tensor_f(i, w) for i in indices]
+            rec = c._block(w, limit)
+            assert rec == tuple(x for (phi, _, eps, _), f in zip(brackets, moves) for x in (eps, phi, f))
+            top, bottom = c.is_highest_weight(w), c.is_lowest_weight(w)
+            for h in range(big_n + 1):
+                rec_u, rec_v = c._block(w[:h], limit), c._block(w[h:], limit)
+                for k, (phi, _, eps, _) in enumerate(brackets):
+                    eps_u, phi_u, eps_v, phi_v = rec_u[3 * k], rec_u[3 * k + 1], rec_v[3 * k], rec_v[3 * k + 1]
+                    assert (eps, phi) == (eps_v + max(eps_u - phi_v, 0), phi_u + max(phi_v - eps_u, 0))
+                successors, counts = c._lowering(h, limit)
+                assert successors(w) == [m for m in moves if m is not None]
+                assert counts == [top, bottom]
+
+
+def test_the_record_store_stops_at_the_node_limit():
+    c = SpinCrystal(2)
+    tops = c.highest_weight_words(5)
+    walked = [c.component_members(hw) for hw in tops]
+    assert len(c._blocks) == 4 + 4**2 + 4**3  # every half-word of lengths 1, 2 and 3
+    for bits in (4, 5, 6):  # the largest component at (2, 5) has 12 words
+        capped = SpinCrystal(2)
+        capped._tops[5] = tuple(tops)
+        assert [capped.component_members(hw, bits) for hw in tops] == walked
+        assert len(capped._blocks) == 1 << bits
 
 
 def test_stored_tops_survive_mutation_of_a_result():
