@@ -14,14 +14,14 @@ Dominance, Delta and the spinor step are asked of `weights` on coordinate tuples
 a diagram is regular when r - l is dominant; a table checks each step and its running
 sum in one pass over the steps, reporting a bad step before a bad prefix sum.
 Records are validated where they enter (the constructors, from_json, diagram_of_weight,
-steps_from_diagram_chain); enumerate_tables, which tests each prefix state once,
-builds its tables through weights.trusted without re-validating them.
+steps_from_diagram_chain); enumerate_tables, whose level walk carries only prefixes
+that complete to the shape, builds its tables through weights.trusted without
+re-validating them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 from math import comb
 from operator import add
@@ -222,30 +222,36 @@ def steps_from_diagram_chain(chain) -> CellTable:
 
 
 def enumerate_tables(shape: CellDiagram) -> list[CellTable]:
-    """All tables of the given shape, generated in descending lex order on flattened steps.
-    moves(total, k) tests each prefix state once: its steps, in pool order, toward the shape."""
+    """All tables of the given shape, in descending lex order on flattened steps, from three
+    flat passes over the prefix sums.
+
+    Forward: levels[k] maps every dominant sum of k steps within distance N - k of the
+    shape's weight (in each doubled coordinate) to its moves, the (step, next sum) pairs in
+    pool order. Backward: each level keeps only the moves into sums that still complete.
+    Expand: the prefixes grow one level at a time along the kept moves. Every carried prefix
+    completes, so no level holds more prefixes than the output.
+    """
     n, big_n = shape.height, shape.length
     target = weight_of_diagram(shape).coords2
     steps_pool = spinor_weights(n)
-    out = []
-
-    @cache
-    def moves(total, k):
-        remaining, found = big_n - k - 1, []
-        for mu in steps_pool:  # at k = 0 dominance keeps the two dominant first steps
-            new_total = tuple(map(add, total, mu.coords2))
-            if (is_dominant2(new_total)
-                    and all(abs(t - c) <= remaining for t, c in zip(target, new_total))
-                    and (remaining == 0 or moves(new_total, k + 1))):
-                found.append((mu, new_total))
-        return found
-
-    def extend(prefix_steps, total, k):
-        if k == big_n:
-            out.append(trusted(CellTable, prefix_steps))
-            return
-        for mu, new_total in moves(total, k):
-            extend(prefix_steps + (mu,), new_total, k + 1)
-
-    extend((), (0,) * n, 0)
-    return out
+    levels = [{(0,) * n: []}]
+    for k in range(big_n):  # at k = 0 dominance keeps the two dominant first steps
+        remaining, reached = big_n - k - 1, {}
+        for total, moves in levels[k].items():
+            for mu in steps_pool:
+                new_total = tuple(map(add, total, mu.coords2))
+                if new_total not in reached:
+                    reached[new_total] = is_dominant2(new_total) and all(
+                        abs(t - c) <= remaining for t, c in zip(target, new_total))
+                if reached[new_total]:
+                    moves.append((mu, new_total))
+        levels.append({total: [] for total, ok in reached.items() if ok})
+    for k in range(big_n - 1, -1, -1):  # level N holds the shape's weight alone, if anything
+        live = levels[k + 1]
+        levels[k] = {total: kept for total, moves in levels[k].items()
+                     if (kept := [move for move in moves if move[1] in live])}
+    prefixes = [((), (0,) * n)] if levels[0] else []
+    for level in levels[:-1]:
+        prefixes = [(steps + (mu,), new_total)
+                    for steps, total in prefixes for mu, new_total in level[total]]
+    return [trusted(CellTable, steps) for steps, _ in prefixes]

@@ -13,11 +13,11 @@ factor: a move is one XOR with index i's mask. One code table per index says
 which move a factor allows: 1 for an eps factor (eps_i = 1), 2 for a phi factor
 (phi_i = 1), 0 for neither. In the equivalent signature rule each phi factor
 cancels the nearest open eps factor to its left; one left-to-right bracket
-pass (`_bracket`) serves e_i, f_i, eps_i and phi_i. `is_highest_weight` keeps
-its own right-to-left pass, which stops at the first eps factor that no phi
-factor cancels. `to_highest_weight` raises a whole e_i-string per pass, flipping
-every open eps factor at once; `to_lowest_weight` keeps single `tensor_f` moves,
-whose calls the `act` benchmark workload counts (bench/).
+pass (`_bracket`) serves e_i, f_i, eps_i and phi_i, and the tops and bottoms
+tests read its eps and phi counts. `to_highest_weight` raises a whole
+e_i-string per pass, flipping every open eps factor at once;
+`to_lowest_weight` keeps single `tensor_f` moves, whose calls the `act`
+benchmark workload counts (bench/).
 
 The whole-crystal scans apply the same rule to two blocks, B^(x)h (x) B^(x)(N-h)
 with h = N // 2 (Henriques-Kamnitzer): for w = u + v, f_i acts on v when
@@ -25,10 +25,13 @@ phi_i(v) > eps_i(u) and on u otherwise, and eps_i(w) = eps_i(v) + max(eps_i(u) -
 phi_i(v), 0). Each half-word's record (eps_i, phi_i, f_i image for every i, one
 `_bracket` pass each) is stored on the crystal, at most 2^budget_bits of them;
 past that a record is computed again. The component walk reads each member's
-successors and its top test from its two records, and the tops of power N are
-the words u + v with v a top of power N - h and eps_i(u) <= phi_i(v) for every
-i. Each crystal stores the tops of a power once, so the census and the components
-share one scan. The literal two-factor recursion stays in `suites` as the oracle
+successors and its top test from its two records. The same rule gives the
+tops: u + v is one exactly when v is a top and eps_i(u) <= phi_i(v) for every
+i, one pairing (`_tops_ending`) for two scans. The tops of power N pair each u
+of length h with the tops of power N - h; the tops of a component tensored with
+one more factor pair each member with the tops of power 1. Each crystal stores
+the tops of a power once, so the census and the components share one scan. The
+literal two-factor recursion stays in `suites` as the oracle
 (`tensor_e_reference`, `tensor_f_reference`).
 
 The bijection between highest-weight words and regular cell tables reads the
@@ -210,20 +213,7 @@ class SpinCrystal:
         return self._bracket(i, w)[0]
 
     def is_highest_weight(self, w):
-        """No e_i moves w: read right to left, a pending phi factor cancels each
-        eps factor. Stops at the first eps factor that none cancels, which a
-        full `_bracket` pass would not."""
-        for code in self._code[1:]:
-            pending = 0
-            for b in reversed(w):
-                c = code[b]
-                if c == 1:
-                    if not pending:
-                        return False
-                    pending -= 1
-                elif c:
-                    pending += 1
-        return True
+        return not any(self._bracket(i, w)[2] for i in range(1, self.n + 1))
 
     def is_lowest_weight(self, w):
         return not any(self._bracket(i, w)[0] for i in range(1, self.n + 1))
@@ -361,9 +351,8 @@ class SpinCrystal:
     def highest_weight_words(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
         """The tops of the N-th tensor power in product order; one scan per crystal and N.
 
-        u + v with |u| = N // 2 is a top exactly when v is a top of power N - |u| and
-        eps_i(u) <= phi_i(v) for every i, so the scan pairs every u with the stored
-        tops v of power N - |u|; powers 0 and 1 are tested word by word."""
+        Every word u of length h = N // 2 is paired with the stored tops of power N - h
+        (`_tops_ending`); powers 0 and 1 are tested word by word."""
         _check_budget(self.n * big_n, budget_bits)
         tops = self._tops.get(big_n)
         if tops is None:
@@ -371,18 +360,22 @@ class SpinCrystal:
             if not h:
                 tops = tuple(filter(self.is_highest_weight, self.all_words(big_n)))
             else:
-                limit = node_limit(budget_bits)
-                rights = [
-                    (v, self._block(v, limit)[1::3])
-                    for v in self.highest_weight_words(big_n - h, budget_bits)
-                ]
-                tops = []
-                for u in self.all_words(h):
-                    eps_u = self._block(u, limit)[::3]
-                    tops += [u + v for v, phi_v in rights if all(map(le, eps_u, phi_v))]
-                tops = tuple(tops)
+                tops = tuple(self._tops_ending(self.all_words(h), big_n - h, budget_bits))
             self._tops[big_n] = tops
         return list(tops)
+
+    def _tops_ending(self, lefts, big_n, budget_bits):
+        """The tops u + v for u in lefts and v a top of power big_n, in that order. By the
+        tensor rule v's phi factors must cancel every open eps factor of u: u + v is a top
+        exactly when v is one and eps_i(u) <= phi_i(v) for every i."""
+        indices = range(1, self.n + 1)
+        rights = [(v, [self._bracket(i, v)[0] for i in indices])
+                  for v in self.highest_weight_words(big_n, budget_bits)]
+        tops = []
+        for u in lefts:
+            eps_u = [self._bracket(i, u)[2] for i in indices]
+            tops += [u + v for v, phi_v in rights if all(map(le, eps_u, phi_v))]
+        return tops
 
     def hw_census(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
         """Count highest-weight words per weight; keys in descending lex order."""
@@ -418,17 +411,13 @@ class SpinCrystal:
         return w
 
     def decompose_component_tensor(self, hw_word, budget_bits=DEFAULT_BUDGET_BITS):
-        """Weights of the top words in (component of hw_word) tensored by one more factor."""
+        """Weights of the top words in (component of hw_word) tensored by one more factor:
+        each member paired with the tops of power 1 (`_tops_ending`)."""
         if not self.is_highest_weight(hw_word):
             raise ValidationError("word is not highest weight")
         _check_budget(self.n * (len(hw_word) + 1), budget_bits)
         _, members = self.component_members(hw_word, budget_bits)
-        found = []
-        for w in members:
-            for b in self.elements():
-                ext = w + (b,)
-                if self.is_highest_weight(ext):
-                    found.append(self.word_weight(ext))
+        found = [self.word_weight(w) for w in self._tops_ending(members, 1, budget_bits)]
         found.sort(key=lambda wt: wt.coords2, reverse=True)
         return found
 

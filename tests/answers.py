@@ -63,6 +63,7 @@ COMMANDS = [
     ["verify", "commutor", "--n", "3", "--N", "5"],
     ["verify", "crystal-axioms", "--n", "2", "--N", "6"],
     ["verify", "thm2", "--n", "4", "--N", "3"],
+    ["verify", "thm2", "--n", "3", "--N", "4"],
     ["verify", "thm52", "--n", "4", "--N", "5"],
     ["enumerate", "delta", "--n", "2", "--N", "3"],
     ["enumerate", "delta", "--n", "4", "--N", "7", "--format", "table"],
@@ -72,6 +73,8 @@ COMMANDS = [
     ["enumerate", "tables", "--lambda", "3,1,1,-1", "--N", "7", "--format", "table"],
     ["enumerate", "tables", "--lambda", "2,2,0", "--N", "4"],
     ["enumerate", "tables", "--lambda", "1,1,1", "--N", "5", "--format", "table"],
+    # 588 tables of a shape with many dead-end prefixes
+    ["enumerate", "tables", "--lambda", "0,0", "--N", "8"],
     ["enumerate", "sssyt", "--nu", "4,1", "--N", "4", "--n", "4"],
     ["enumerate", "sssyt", "--nu", "4,1", "--N", "4", "--n", "4", "--format", "table"],
     # self-associated shapes (first column N/2), at odd and even n

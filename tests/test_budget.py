@@ -254,6 +254,14 @@ def test_weights_of_a_large_height_list_in_bounded_time(capsys, kind):
     assert json.loads(capsys.readouterr().out)["count"] == 2
 
 
+def test_a_long_table_in_bounded_time(capsys):
+    # one table of 900 steps; a walk that recursed once per step ended in a RecursionError
+    start = time.perf_counter()
+    assert main(["enumerate", "tables", "--lambda", "900,900", "--N", "900"]) == EXIT_OK
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["count"] == 1
+
+
 def test_enumerate_tables_charges_its_rank(capsys, monkeypatch):
     # one table, but each state tries the 2^n spinor steps
     monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)

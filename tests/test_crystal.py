@@ -280,6 +280,28 @@ def test_decompose_matches_prediction_everywhere():
                 assert actual == predicted_tensor_weights(comp.weight)
 
 
+@pytest.mark.parametrize("n, big_n_max", [(2, 4), (3, 4), (4, 3)])
+def test_decompose_matches_every_extension_of_every_member(n, big_n_max):
+    # brute force: every member times every element, kept when it is a top
+    c = SpinCrystal(n)
+    for big_n in range(1, big_n_max + 1):
+        for hw in c.highest_weight_words(big_n):
+            _, members = c.component_members(hw)
+            expected = [c.word_weight(w + (b,)) for w in members for b in c.elements()
+                        if c.is_highest_weight(w + (b,))]
+            expected.sort(key=lambda wt: wt.coords2, reverse=True)
+            assert c.decompose_component_tensor(hw) == expected, hw
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_top_is_its_own_highest_weight_word(n):
+    # the oracle raises whole e_i-strings and never reads the eps count of the tops test
+    c = SpinCrystal(n)
+    for big_n in range(5):
+        for w in c.all_words(big_n):
+            assert c.is_highest_weight(w) == (c.to_highest_weight(w) == w), w
+
+
 def test_morphism_rigidity():
     # two components with the same top weight admit exactly one aligned matching
     c = SpinCrystal(2)
@@ -463,7 +485,7 @@ def test_the_record_store_stops_at_the_node_limit():
     c = SpinCrystal(2)
     tops = c.highest_weight_words(5)
     walked = [c.component_members(hw) for hw in tops]
-    assert len(c._blocks) == 4 + 4**2 + 4**3  # every half-word of lengths 1, 2 and 3
+    assert len(c._blocks) == 4**2 + 4**3  # every half-word of lengths 2 and 3; scans store none
     for bits in (4, 5, 6):  # the largest component at (2, 5) has 12 words
         capped = SpinCrystal(2)
         capped._tops[5] = tuple(tops)
