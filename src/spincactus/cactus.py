@@ -56,12 +56,6 @@ class XiCache:
             assert image is not None, "xi replay left the component; theta is wrong"
         return image
 
-    def xi_segment(self, w, a, b):
-        """Apply the involution to factors a..b (1-based, inclusive)."""
-        if not 1 <= a <= b <= len(w):
-            raise ValidationError(f"segment {a}..{b} is out of range for length {len(w)}")
-        return w[: a - 1] + self.xi_word(w[a - 1 : b]) + w[b:]
-
     def commutor(self, w, split):
         """Swap the blocks 1..split and split+1..end of the whole word."""
         if not 1 <= split < len(w):

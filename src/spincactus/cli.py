@@ -176,7 +176,7 @@ def cmd_act(args):
     table = _read(args, "table", _load_payload(args))
     gens = cactus.parse_cactus_word(args.word)
     budget = _budget_bits(args)
-    cache = cactus.XiCache(_spin_crystal(table.height, table.height, budget), budget)
+    cache = cactus.XiCache(crystal.SpinCrystal(table.height, budget), budget)
     moved = cactus.act_on_table(cache, gens, table)
     record = _as(args.as_kind or "table", moved).to_json()
     payload = {
@@ -245,31 +245,24 @@ def _payload_table(args):
     return table
 
 
-def _spin_crystal(n, needed_bits, budget):
-    """SpinCrystal(n) (at most 3*n*2^n table entries) once 2^needed_bits fit; it refuses n < 2 itself."""
-    if n >= 2:
-        crystal._check_budget(needed_bits, budget)
-    return crystal.SpinCrystal(n)
-
-
 def cmd_export(args):
     budget = _budget_bits(args)
     if args.kind == "crystal-graph":
-        spin = _spin_crystal(args.n, args.n * _power(args.N), budget)
+        _power(args.N)
+        spin = crystal.SpinCrystal(args.n, budget)
         if args.format == "json":
-            out = _json({"schema": SCHEMA, "census": crystal.census_json(spin, args.N, budget)})
+            out = _json({"schema": SCHEMA, "census": crystal.census_json(spin, args.N)})
         else:
-            out = crystal.crystal_dot(spin, args.N, budget)
+            out = crystal.crystal_dot(spin, args.N)
     elif args.kind == "component":
         table = _payload_table(args)
-        spin = _spin_crystal(table.height, table.height, budget)
-        _, members = spin.component_members(spin.table_to_word(table), budget)
-        out = crystal.crystal_dot(spin, table.length, budget, words=members)
+        spin = crystal.SpinCrystal(table.height, budget)
+        _, members = spin.component_members(spin.table_to_word(table))
+        out = crystal.crystal_dot(spin, table.length, words=members)
     else:  # orbit
         table = _payload_table(args)
         gens = cactus.parse_cactus_word(args.word or "")
-        spin = _spin_crystal(table.height, table.height, budget)
-        cache = cactus.XiCache(spin, budget)
+        cache = cactus.XiCache(crystal.SpinCrystal(table.height, budget), budget)
         tables = cactus.orbit(cache, table, gens)
         out = _json({"schema": SCHEMA, "orbit": [t.to_json() for t in tables]})
     if args.out:

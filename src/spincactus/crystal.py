@@ -39,9 +39,10 @@ factor weights right to left: under this tensor rule the last factor of a
 highest-weight word is the one forced into a dominant spinor weight, so the
 branching sequence of the component is the reversed factor sequence.
 
-Every scan is bounded by 2^budget_bits nodes: `node_limit` is the one check
-of budget_bits, and `closure` the one bounded depth-first walk. The crystal's
-own tables hold 2^n entries per index; the CLI charges n bits before it builds one.
+Each crystal holds one budget: every scan of it is bounded by 2^budget_bits nodes.
+`node_limit` is the one check of budget_bits, and `closure` the one bounded depth-first
+walk. The crystal's own tables hold 2^n entries per index, so it charges n bits before
+it builds them.
 """
 
 from __future__ import annotations
@@ -108,12 +109,16 @@ class Component:
 
 
 class SpinCrystal:
-    """Crystal structure on sign vectors and their tensor words, for fixed rank n."""
+    """Crystal structure on sign vectors and their tensor words, for fixed rank n; every
+    scan and stored record of it is bounded by 2^budget_bits."""
 
-    def __init__(self, n):
+    def __init__(self, n, budget_bits=DEFAULT_BUDGET_BITS):
         if n < 2:
             raise ValidationError(f"rank must be at least 2, got {n}")
+        _check_budget(n, budget_bits)  # the tables below hold 2^n entries per index
         self.n = n
+        self.budget_bits = budget_bits
+        self._limit = 1 << budget_bits
         # Indexed [i], slot 0 unused: index i's mask, and b's code for index i at
         # [i][b]: 1 for an eps factor (eps_i = 1), 2 for a phi factor (phi_i = 1),
         # 0 for neither.
@@ -272,9 +277,9 @@ class SpinCrystal:
         """The bottom of w's component; appends the f-indices used to path, if given."""
         return self._walk(w, self.tensor_f, path)
 
-    def _block(self, w, limit):
+    def _block(self, w):
         """w's record, flat: eps_i, phi_i and f_i(w) (None for no move) for i = 1..n,
-        from one `_bracket` pass each. The crystal stores at most limit records;
+        from one `_bracket` pass each. The crystal stores at most 2^budget_bits records;
         past that a record is computed again on each call."""
         rec = self._blocks.get(w)
         if rec is None:
@@ -284,11 +289,11 @@ class SpinCrystal:
                 image = None if pos is None else w[:pos] + (w[pos] ^ self._mask[i],) + w[pos + 1 :]
                 rec += (eps, phi, image)
             rec = tuple(rec)
-            if len(self._blocks) < limit:
+            if len(self._blocks) < self._limit:
                 self._blocks[w] = rec
         return rec
 
-    def _lowering(self, h, limit):
+    def _lowering(self, h):
         """successors(w) for `closure`: the f_i(w) that exist, in index order, read from
         the records of u = w[:h] and v = w[h:] by the tensor rule. v's phi factors
         cancel open eps factors of u, so f_i acts on v when phi_i(v) > eps_i(u) and on u
@@ -299,8 +304,8 @@ class SpinCrystal:
 
         def successors(w):
             u, v = w[:h], w[h:]
-            rec_u = iter(blocks.get(u) or block(u, limit))
-            rec_v = iter(blocks.get(v) or block(v, limit))
+            rec_u = iter(blocks.get(u) or block(u))
+            rec_v = iter(blocks.get(v) or block(v))
             down = []
             opened = 0  # open eps factors over all indices
             for eps_u, phi_u, f_u, eps_v, phi_v, f_v in zip(rec_u, rec_u, rec_u, rec_v, rec_v, rec_v):
@@ -317,13 +322,13 @@ class SpinCrystal:
 
         return successors, counts
 
-    def component_members(self, w, budget_bits=DEFAULT_BUDGET_BITS):
+    def component_members(self, w):
         """All words in the component of w, found by lowering from its top; each
         member's successors and open eps factors come from the records of its two
         halves, split at N // 2 (`_lowering`)."""
         hw = self.to_highest_weight(w)
-        successors, counts = self._lowering(len(hw) // 2, node_limit(budget_bits))
-        members = closure(hw, successors, budget_bits)
+        successors, counts = self._lowering(len(hw) // 2)
+        members = closure(hw, successors, self.budget_bits)
         assert counts == [1, 1], "every component must have exactly one top and one bottom word"
         return hw, members
 
@@ -335,52 +340,49 @@ class SpinCrystal:
             raise ValidationError(f"tensor power N must be at least 0, got {big_n}")
         return product(range(1 << self.n), repeat=big_n)
 
-    def components(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
+    def components(self, big_n):
         """Partition the full tensor power into components, built one at a time from
         each top and listed in the product order of their first words."""
         found = []
         total = 0
-        for hw in self.highest_weight_words(big_n, budget_bits):
-            _, members = self.component_members(hw, budget_bits)
+        for hw in self.highest_weight_words(big_n):
+            _, members = self.component_members(hw)
             total += len(members)
             found.append((min(members), Component(hw, self.word_weight(hw), len(members))))
         assert total == (1 << self.n) ** big_n, "the components must cover the tensor power"
         found.sort(key=lambda pair: pair[0])
         return [comp for _, comp in found]
 
-    def highest_weight_words(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
+    def highest_weight_words(self, big_n):
         """The tops of the N-th tensor power in product order; one scan per crystal and N.
 
-        Every word u of length h = N // 2 is paired with the stored tops of power N - h
-        (`_tops_ending`); powers 0 and 1 are tested word by word."""
-        _check_budget(self.n * big_n, budget_bits)
+        Power 0 has the empty word; for N >= 1 every word u of length h = N // 2, or 1 at
+        N = 1, is paired with the stored tops of power N - h (`_tops_ending`)."""
+        _check_budget(self.n * big_n, self.budget_bits)
         tops = self._tops.get(big_n)
         if tops is None:
-            h = big_n // 2
-            if not h:
-                tops = tuple(filter(self.is_highest_weight, self.all_words(big_n)))
-            else:
-                tops = tuple(self._tops_ending(self.all_words(h), big_n - h, budget_bits))
+            h = big_n // 2 or 1
+            tops = ((),) if not big_n else tuple(self._tops_ending(self.all_words(h), big_n - h))
             self._tops[big_n] = tops
         return list(tops)
 
-    def _tops_ending(self, lefts, big_n, budget_bits):
+    def _tops_ending(self, lefts, big_n):
         """The tops u + v for u in lefts and v a top of power big_n, in that order. By the
         tensor rule v's phi factors must cancel every open eps factor of u: u + v is a top
         exactly when v is one and eps_i(u) <= phi_i(v) for every i."""
         indices = range(1, self.n + 1)
         rights = [(v, [self._bracket(i, v)[0] for i in indices])
-                  for v in self.highest_weight_words(big_n, budget_bits)]
+                  for v in self.highest_weight_words(big_n)]
         tops = []
         for u in lefts:
             eps_u = [self._bracket(i, u)[2] for i in indices]
             tops += [u + v for v, phi_v in rights if all(map(le, eps_u, phi_v))]
         return tops
 
-    def hw_census(self, big_n, budget_bits=DEFAULT_BUDGET_BITS):
+    def hw_census(self, big_n):
         """Count highest-weight words per weight; keys in descending lex order."""
         census = {}
-        for w in self.highest_weight_words(big_n, budget_bits):
+        for w in self.highest_weight_words(big_n):
             wt = self.word_weight(w)
             census[wt] = census.get(wt, 0) + 1
         return dict(sorted(census.items(), key=lambda kv: kv[0].coords2, reverse=True))
@@ -410,14 +412,14 @@ class SpinCrystal:
         )
         return w
 
-    def decompose_component_tensor(self, hw_word, budget_bits=DEFAULT_BUDGET_BITS):
+    def decompose_component_tensor(self, hw_word):
         """Weights of the top words in (component of hw_word) tensored by one more factor:
         each member paired with the tops of power 1 (`_tops_ending`)."""
         if not self.is_highest_weight(hw_word):
             raise ValidationError("word is not highest weight")
-        _check_budget(self.n * (len(hw_word) + 1), budget_bits)
-        _, members = self.component_members(hw_word, budget_bits)
-        found = [self.word_weight(w) for w in self._tops_ending(members, 1, budget_bits)]
+        _check_budget(self.n * (len(hw_word) + 1), self.budget_bits)
+        _, members = self.component_members(hw_word)
+        found = [self.word_weight(w) for w in self._tops_ending(members, 1)]
         found.sort(key=lambda wt: wt.coords2, reverse=True)
         return found
 
@@ -429,11 +431,10 @@ def word_label(crystal, w):
     )
 
 
-def crystal_dot(crystal, big_n, budget_bits=DEFAULT_BUDGET_BITS, words=None):
+def crystal_dot(crystal, big_n, words=None):
     """DOT digraph of the full tensor power, or of the given word set."""
-    node_limit(budget_bits)
     if words is None:
-        _check_budget(crystal.n * big_n, budget_bits)
+        _check_budget(crystal.n * big_n, crystal.budget_bits)
         words = list(crystal.all_words(big_n))
     words = sorted(words)
     lines = ["digraph crystal {"]
@@ -452,8 +453,8 @@ def crystal_dot(crystal, big_n, budget_bits=DEFAULT_BUDGET_BITS, words=None):
     return "\n".join(lines) + "\n"
 
 
-def census_json(crystal, big_n, budget_bits=DEFAULT_BUDGET_BITS):
+def census_json(crystal, big_n):
     return [
         {"lambda2": list(wt.coords2), "count": count}
-        for wt, count in crystal.hw_census(big_n, budget_bits).items()
+        for wt, count in crystal.hw_census(big_n).items()
     ]

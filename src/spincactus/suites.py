@@ -184,7 +184,7 @@ def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGE
     _check_budget(max(n_values) * big_n_max, budget_bits)
     checks = []
     for n in n_values:
-        crystal = SpinCrystal(n)
+        crystal = SpinCrystal(n, budget_bits)
         # the reference's eps_i by (i, word) on heads shorter than N: n*sum_{k<N} 2^(nk) at most
         eps_memo = {}
         roots = [(i, _root2(i, n)) for i in range(1, n + 1)]
@@ -232,10 +232,10 @@ def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGE
 def suite_census(n_values=(2, 3), big_n_max=5, budget_bits=DEFAULT_BUDGET_BITS):
     checks = []
     for n in n_values:
-        crystal = SpinCrystal(n)
+        crystal = SpinCrystal(n, budget_bits)
         for big_n in range(1, big_n_max + 1):
-            comps = crystal.components(big_n, budget_bits)
-            census = crystal.hw_census(big_n, budget_bits)
+            comps = crystal.components(big_n)
+            census = crystal.hw_census(big_n)
             table_counts = {
                 lam: len(enumerate_tables(diagram_of_weight(lam, big_n)))
                 for lam in enumerate_delta(n, big_n)
@@ -279,7 +279,7 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
     _check_budget(max([6] + [n * max(big_n_max, 2) for n in n_values]), budget_bits)
     checks = []
     for n in n_values:
-        crystal = SpinCrystal(n)
+        crystal = SpinCrystal(n, budget_bits)
         cache = XiCache(crystal, budget_bits)
         for big_n in range(1, big_n_max + 1):
             images = {w: cache.xi_word(w) for w in crystal.all_words(big_n)}
@@ -297,7 +297,7 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
             if cache.commutor(cache.commutor(w, 1), 1) != w
         )
         _check(checks, f"commutor involutive on two factors n={n}", bad == 0)
-    crystal = SpinCrystal(2)
+    crystal = SpinCrystal(2, budget_bits)
     cache = XiCache(crystal, budget_bits)
     bad = 0
     for w in crystal.all_words(3):
@@ -315,7 +315,7 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
 def _generator_permutations(n, big_n, budget_bits):
     """Each generator's action on each shape's tables, as the list of the image's index
     in that shape's enumerate_tables list: one act_on_table per (generator, table)."""
-    crystal = SpinCrystal(n)
+    crystal = SpinCrystal(n, budget_bits)
     cache = XiCache(crystal, budget_bits)
     gens = [(p, q) for p in range(1, big_n + 1) for q in range(p + 1, big_n + 1)]
     shapes = [enumerate_tables(diagram_of_weight(lam, big_n)) for lam in enumerate_delta(n, big_n)]
@@ -389,11 +389,11 @@ def predicted_tensor_weights(lam: Weight):
 def suite_thm2(n_values=(2, 3), big_n_max=3, budget_bits=DEFAULT_BUDGET_BITS):
     checks = []
     for n in n_values:
-        crystal = SpinCrystal(n)
+        crystal = SpinCrystal(n, budget_bits)
         for big_n in range(1, big_n_max + 1):
             bad = 0
-            for hw in crystal.highest_weight_words(big_n, budget_bits):
-                actual = crystal.decompose_component_tensor(hw, budget_bits)
+            for hw in crystal.highest_weight_words(big_n):
+                actual = crystal.decompose_component_tensor(hw)
                 if actual != predicted_tensor_weights(crystal.word_weight(hw)):
                     bad += 1
             _check(checks, f"tensor decomposition n={n} N={big_n}", bad == 0,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from numbers import Number
 
 from .errors import ValidationError
 
@@ -103,23 +102,6 @@ class Weight:
     @classmethod
     def from_json(cls, data):
         return cls(tuple(data))
-
-    @classmethod
-    def from_halves(cls, halves):
-        """Build from plain (half-)integer values, e.g. Fraction or float halves. A bool, a
-        non-number or a non-finite value raises ValidationError, as as_int does for records."""
-        coords2 = []
-        for h in halves:
-            if isinstance(h, bool) or not isinstance(h, Number):
-                raise ValidationError(f"expected a finite number, got {h!r}")
-            try:
-                c2 = int(2 * h)
-            except (TypeError, ValueError, ArithmeticError):  # complex, nan, inf
-                raise ValidationError(f"expected a finite number, got {h!r}") from None
-            if c2 != 2 * h:
-                raise ValidationError(f"{h} is not a half-integer")
-            coords2.append(c2)
-        return cls(tuple(coords2))
 
 
 @dataclass(frozen=True)

@@ -273,14 +273,21 @@ def enumerate_sssyt(v: ShortYoungDiagram) -> list[SSYTable]:
 
 
 def count_sssyt(v: ShortYoungDiagram) -> int:
-    counts = {v.rows: 1}
-    for big_n in range(v.N, 1, -1):
-        next_counts = {}
-        for rows, c in counts.items():
-            for rho in branch_syd(trusted(ShortYoungDiagram, rows, big_n, v.n)):
-                next_counts[rho.rows] = next_counts.get(rho.rows, 0) + c
-        counts = next_counts
-    return sum(counts.values())
+    """len(enumerate_sssyt(v)), without building the chains: the dimension of the O(N)
+    irreducible of v, by the El Samra-King hook formula. It is the product over the boxes
+    (i, j) of v of (N + r_ij) / h_ij, h_ij the hook length, r_ij = v_i + v_j - i - j for
+    i <= j and -(v'_i + v'_j - i - j + 2) for i > j (1-based; v' the columns, v_k = 0 and
+    v'_k = 0 past the diagram)."""
+    rows, cols = v.rows + (0,) * v.n, v.columns() + (0,) * len(v.rows)
+    num = den = 1
+    for i, row in enumerate(v.rows, 1):
+        for j in range(1, row + 1):
+            if i <= j:
+                num *= v.N + row + rows[j - 1] - i - j
+            else:
+                num *= v.N - cols[i - 1] - cols[j - 1] + i + j - 2
+            den *= row - j + cols[j - 1] - i + 1
+    return num // den
 
 
 def _growing_signs(n):

@@ -2,31 +2,32 @@
 
 import hashlib
 import json
+import signal
 import time
 
 import answers
 import pytest
 
+from spincactus import crystal as crystal_module
+from spincactus import youngt
 from spincactus.cactus import XiCache, orbit, parse_cactus_word
 from spincactus.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from spincactus.celldiag import diagram_of_weight, enumerate_delta, enumerate_tables
-from spincactus.crystal import SpinCrystal, closure, crystal_dot, node_limit
+from spincactus.crystal import (DEFAULT_BUDGET_BITS, SpinCrystal, census_json, closure,
+                                crystal_dot, node_limit)
 from spincactus.errors import BudgetExceededError, ValidationError
-from spincactus.suites import XiTableReference, suite_cactus_relations, suite_crystal_axioms
+from spincactus.suites import (XiTableReference, _all_syd, suite_cactus_relations,
+                               suite_census, suite_commutor, suite_crystal_axioms, suite_thm2)
+from spincactus.weights import Weight
 
 CRYSTAL = SpinCrystal(2)
-TOP = CRYSTAL.to_highest_weight((0, 0))
 TABLE = enumerate_tables(diagram_of_weight(enumerate_delta(3, 4)[1], 4))[0]
 GENS = parse_cactus_word("s(1,2) s(2,3) s(3,4)")
 
-# every budgeted entry point, as a call taking budget_bits
+# every budgeted entry point, as a call taking budget_bits; a crystal's scans read the
+# budget it was built with
 ENTRY_POINTS = {
-    "component_members": lambda bits: CRYSTAL.component_members((0, 0), bits),
-    "components": lambda bits: CRYSTAL.components(2, bits),
-    "highest_weight_words": lambda bits: CRYSTAL.highest_weight_words(2, bits),
-    "decompose_component_tensor": lambda bits: CRYSTAL.decompose_component_tensor(TOP, bits),
-    "crystal_dot": lambda bits: crystal_dot(CRYSTAL, 2, bits),
-    "crystal_dot_words": lambda bits: crystal_dot(CRYSTAL, 2, bits, words=[(0, 0)]),
+    "SpinCrystal": lambda bits: SpinCrystal(2, bits),
     "orbit": lambda bits: orbit(XiCache(SpinCrystal(3), bits), TABLE, GENS),
     "XiTableReference": lambda bits: XiTableReference(CRYSTAL, bits).xi_word((0, 0)),
     "XiCache": lambda bits: XiCache(CRYSTAL, bits),
@@ -67,16 +68,91 @@ def assert_tight(scan, m):
 
 
 def test_closure_limit_is_tight_on_components():
-    # the members, and the reference xi table, which holds one image per member
+    # the members, on a crystal of that budget, and the reference xi table, which holds
+    # one image per member
     sizes = set()
     for n, big_n in ((2, 3), (3, 2)):
         crystal = SpinCrystal(n)
         for comp in crystal.components(big_n):
             sizes.add(comp.size)
-            assert_tight(lambda bits: crystal.component_members(comp.hw_word, bits)[1], comp.size)
+
+            def members(bits):
+                return SpinCrystal(n, bits).component_members(comp.hw_word)[1]
+
+            if smallest_bits(comp.size) >= n:
+                assert_tight(members, comp.size)
+            else:  # below its rank the crystal itself is refused
+                with pytest.raises(BudgetExceededError) as info:
+                    members(smallest_bits(comp.size))
+                assert info.value.needed_bits == n
             assert_tight(lambda bits: XiTableReference(crystal, bits)._build(comp.hw_word),
                          comp.size)
     assert sizes == {1, 2, 4, 6, 10, 15}
+
+
+# every scan of a rank-2 crystal, with the bits it needs: a power-N scan charges n*N
+# bits, a component's walk the bits that hold its members
+CRYSTAL_SCANS = {
+    "component_members": (lambda c: c.component_members((1, 2, 3)), 3),
+    "components": (lambda c: c.components(2), 4),
+    "highest_weight_words": (lambda c: c.highest_weight_words(2), 4),
+    "hw_census": (lambda c: c.hw_census(2), 4),
+    "decompose_component_tensor": (lambda c: c.decompose_component_tensor((3, 3)), 6),
+    "crystal_dot": (lambda c: crystal_dot(c, 2), 4),
+    "census_json": (lambda c: census_json(c, 2), 4),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(CRYSTAL_SCANS))
+def test_every_scan_reads_the_crystal_budget(scan):
+    run, needed = CRYSTAL_SCANS[scan]
+    run(SpinCrystal(2, needed))
+    with pytest.raises(BudgetExceededError) as info:
+        run(SpinCrystal(2, needed - 1))
+    assert (info.value.needed_bits, info.value.budget_bits) == (needed, needed - 1)
+
+
+@pytest.mark.parametrize("suite", [
+    lambda bits: suite_crystal_axioms((2, 3), 2, bits),
+    lambda bits: suite_census((2, 3), 2, bits),
+    lambda bits: suite_commutor((2, 3), 2, bits),
+    lambda bits: suite_cactus_relations(3, 3, bits),
+    lambda bits: suite_thm2((2, 3), 2, bits),
+], ids=["crystal_axioms", "census", "commutor", "cactus_relations", "thm2"])
+def test_every_suite_builds_its_crystals_with_its_budget(monkeypatch, suite):
+    built = []
+    init = SpinCrystal.__init__
+
+    def record(self, n, budget_bits=DEFAULT_BUDGET_BITS):
+        built.append((n, budget_bits))
+        init(self, n, budget_bits)
+
+    monkeypatch.setattr(SpinCrystal, "__init__", record)
+    assert suite(11)["pass"]
+    assert built and {bits for _, bits in built} == {11}
+
+
+def refuse_tables(n, i):
+    raise AssertionError("crystal tables built past the budget")
+
+
+def test_a_crystal_charges_its_rank_before_building_its_tables(monkeypatch):
+    monkeypatch.setattr(crystal_module, "_spin_pair", refuse_tables)
+    with pytest.raises(BudgetExceededError) as info:
+        SpinCrystal(5, 4)
+    assert (info.value.needed_bits, info.value.budget_bits) == (5, 4)
+    # the rank is checked first: a rank below 2 is invalid, not too big
+    with pytest.raises(ValidationError, match="rank must be at least 2, got 1"):
+        SpinCrystal(1, 30)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_rank_charge_is_tight(monkeypatch, n):
+    assert SpinCrystal(n, n).budget_bits == n
+    monkeypatch.setattr(crystal_module, "_spin_pair", refuse_tables)
+    with pytest.raises(BudgetExceededError) as info:
+        SpinCrystal(n, n - 1)
+    assert (info.value.needed_bits, info.value.budget_bits) == (n, n - 1)
 
 
 def test_closure_limit_is_tight_on_orbits():
@@ -127,68 +203,68 @@ def one_step(height):
     return json.dumps({"steps2": [[1] * height]})
 
 
-# commands whose crystal's rank (height bits, or n*N for the whole graph) exceeds the budget
+# commands whose crystal's rank (the table height, or --n) exceeds the budget
 PAST_THE_BUDGET = [
     ["act", "--word", "", "--budget-bits", "4", "--payload", one_step(16)],
     ["act", "--word", "", "--payload", one_step(21)],
     ["export", "component", "--budget-bits", "4", "--payload", one_step(16)],
     ["export", "orbit", "--budget-bits", "4", "--payload", one_step(16)],
     ["export", "crystal-graph", "--n", "16", "--N", "1", "--budget-bits", "4"],
-    ["export", "crystal-graph", "--n", "3", "--N", "4", "--budget-bits", "11"],
 ]
 
 
 @pytest.mark.parametrize("argv", PAST_THE_BUDGET)
 def test_cli_charges_the_crystal_rank_before_building_it(capsys, monkeypatch, argv):
     monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
-    built = []
-
-    def refuse(self, n):
-        built.append(n)
-        raise AssertionError("crystal built past the budget")
-
-    monkeypatch.setattr(SpinCrystal, "__init__", refuse)
+    monkeypatch.setattr(crystal_module, "_spin_pair", refuse_tables)
     assert main(argv) == EXIT_BUDGET
-    assert built == []
     assert capsys.readouterr().err.startswith("error: scan needs about 2^")
 
 
-@pytest.mark.parametrize("argv, code, rank", [
+@pytest.mark.parametrize("argv, code, built_with", [
     (["act", "--word", "s(1,2)", "--budget-bits", "3", "--payload", '{"steps2": [[1, 1, 1], [1, -1, -1]]}'],
-     EXIT_OK, 3),
-    (["export", "orbit", "--budget-bits", "2", "--payload", '{"steps2": [[1, 1], [1, -1]]}'], EXIT_OK, 2),
-    (["export", "crystal-graph", "--n", "2", "--N", "2", "--budget-bits", "4"], EXIT_OK, 2),
+     EXIT_OK, (3, 3)),
+    (["export", "orbit", "--budget-bits", "2", "--payload", '{"steps2": [[1, 1], [1, -1]]}'], EXIT_OK,
+     (2, 2)),
+    (["export", "component", "--budget-bits", "3", "--payload", '{"steps2": [[1, 1, 1], [1, -1, -1]]}'],
+     EXIT_OK, (3, 3)),
+    (["export", "crystal-graph", "--n", "2", "--N", "2", "--budget-bits", "4"], EXIT_OK, (2, 4)),
+    # the rank-3 crystal fits in 11 bits; its 12-bit scan of the fourth power does not
+    (["export", "crystal-graph", "--n", "3", "--N", "4", "--budget-bits", "11"], EXIT_BUDGET, (3, 11)),
     # a rank below 2 is refused as invalid, not as too big
-    (["export", "crystal-graph", "--n", "1", "--N", "30"], EXIT_USAGE, 1),
+    (["export", "crystal-graph", "--n", "1", "--N", "30"], EXIT_USAGE, (1, DEFAULT_BUDGET_BITS)),
 ])
-def test_cli_builds_the_crystal_within_the_budget(capsys, monkeypatch, argv, code, rank):
+def test_cli_builds_the_crystal_within_the_budget(capsys, monkeypatch, argv, code, built_with):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
     built = []
     init = SpinCrystal.__init__
 
-    def record(self, n):
-        built.append(n)
-        init(self, n)
+    def record(self, n, budget_bits=DEFAULT_BUDGET_BITS):
+        built.append((n, budget_bits))
+        init(self, n, budget_bits)
 
     monkeypatch.setattr(SpinCrystal, "__init__", record)
     assert main(argv) == code
-    assert built == [rank]
+    assert built == [built_with]
     capsys.readouterr()
 
 
 @pytest.mark.parametrize(
     "scan",
     [
-        lambda c, bits: c.highest_weight_words(4, bits),
-        lambda c, bits: c.hw_census(4, bits),
-        lambda c, bits: c.components(4, bits),
+        lambda c: c.highest_weight_words(4),
+        lambda c: c.hw_census(4),
+        lambda c: c.components(4),
     ],
 )
 def test_stored_tops_are_charged_on_every_call(scan):
-    crystal = SpinCrystal(2)
-    crystal.highest_weight_words(4, 20)  # 8 bits of words, now stored
-    scan(crystal, 8)
+    crystal = SpinCrystal(2, 8)
+    crystal.highest_weight_words(4)  # 8 bits of words, now stored
+    scan(crystal)
+    capped = SpinCrystal(2, 7)
+    capped._tops.update(crystal._tops)  # the same tops, stored on a smaller budget
     with pytest.raises(BudgetExceededError) as info:
-        scan(crystal, 7)
+        scan(capped)
     assert (info.value.needed_bits, info.value.budget_bits) == (8, 7)
 
 
@@ -274,3 +350,47 @@ def test_enumerate_tables_charges_its_rank(capsys, monkeypatch):
     assert main(["enumerate", "tables", "--lambda", ",".join(["1"] * 25), "--N", "1"]) == EXIT_BUDGET
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == f"error: {BudgetExceededError(25, 20)}\n"
+
+
+def test_the_enumeration_charge_is_the_hook_formula(monkeypatch):
+    # every short Young diagram of widths 2..5 and heights 1..6, counted without the
+    # branching walk, then listed with it
+    def refuse(v):
+        raise AssertionError("count_sssyt walked the branching")
+
+    diagrams = [v for n in range(2, 6) for big_n in range(1, 7) for v in _all_syd(n, big_n)]
+    with monkeypatch.context() as patch:
+        patch.setattr(youngt, "branch_syd", refuse)
+        counts = [youngt.count_sssyt(v) for v in diagrams]
+    assert len(diagrams) == 413
+    assert counts == [len(youngt.enumerate_sssyt(v)) for v in diagrams]
+    # the bits charged for the tables of weight 0
+    for lam2, big_n, bits in (((0, 0), 50, 87), ((0, 0), 100, 184), ((0, 0, 0), 100, 265)):
+        nu = youngt.f_map(diagram_of_weight(Weight(lam2), big_n))
+        assert (youngt.count_sssyt(nu) - 1).bit_length() == bits
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (["tables", "--lambda", "0,0", "--N", "1500"], 2972),
+    (["tables", "--lambda", "0,0,0", "--N", "100"], 265),
+    # the same shapes under f_map, as chains and as patterns
+    (["sssyt", "--nu", ",".join(["2"] * 750), "--N", "1500", "--n", "2"], 2972),
+    (["gtp", "--nu", ",".join(["3"] * 50), "--N", "100", "--n", "3"], 265),
+], ids=["tables-0,0-1500", "tables-0,0,0-100", "sssyt-2^750-1500", "gtp-3^50-100"])
+def test_a_large_enumeration_is_refused_in_bounded_time(capsys, monkeypatch, argv, bits):
+    # a charge that walked the branching took minutes at (0,0), N = 1500
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the enumeration charge took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        start = time.perf_counter()
+        assert main(["enumerate"] + argv) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert capsys.readouterr() == ("", f"error: {BudgetExceededError(bits, 20)}\n")

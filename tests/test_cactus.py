@@ -44,15 +44,6 @@ def test_xi_maps_top_to_bottom():
             assert cache.xi_word(w) == c.to_lowest_weight(w)
 
 
-def test_xi_segment():
-    c = SpinCrystal(2)
-    cache = XiCache(c)
-    w = (3, 0, 1)
-    assert cache.xi_segment(w, 2, 2) == (3, 3, 1)
-    with pytest.raises(ValidationError):
-        cache.xi_segment(w, 0, 2)
-
-
 def test_commutor_fixes_multiplicity_free_component():
     # only one component of weight (1,1) lives in the square, so its top
     # word must return to itself

@@ -220,11 +220,11 @@ def test_census_matches_tables():
 
 
 def test_budget_guard():
-    c = SpinCrystal(3)
+    c = SpinCrystal(3, 20)
     with pytest.raises(BudgetExceededError):
-        c.components(8, budget_bits=20)
+        c.components(8)
     with pytest.raises(ValidationError):
-        c.components(2, budget_bits=30)
+        SpinCrystal(3, 30)
 
 
 def test_word_table_round_trip_exhaustive():
@@ -450,8 +450,8 @@ def test_component_members_asserts_one_top_and_one_bottom():
 
 @pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 5), (4, 4)])
 def test_highest_weight_words_are_the_brute_force_tops(n, big_n_max):
-    # powers 0 and 1 are tested word by word; odd powers split into unequal halves,
-    # even ones into equal halves
+    # power 0 is the empty word and power 1 pairs each factor with it; odd powers split
+    # into unequal halves, even ones into equal halves
     c = SpinCrystal(n)
     for big_n in range(big_n_max + 1):
         expected = [w for w in c.all_words(big_n) if c.is_highest_weight(w)]
@@ -462,21 +462,20 @@ def test_highest_weight_words_are_the_brute_force_tops(n, big_n_max):
 @pytest.mark.parametrize("n, big_n_max", [(2, 5), (3, 5), (4, 4)])
 def test_two_block_records_match_the_bracket_pass_at_every_split(n, big_n_max):
     c = SpinCrystal(n)
-    limit = 1 << 20
     indices = range(1, n + 1)
     for big_n in range(big_n_max + 1):
         for w in c.all_words(big_n):
             brackets = [c._bracket(i, w) for i in indices]
             moves = [c.tensor_f(i, w) for i in indices]
-            rec = c._block(w, limit)
+            rec = c._block(w)
             assert rec == tuple(x for (phi, _, eps, _), f in zip(brackets, moves) for x in (eps, phi, f))
             top, bottom = c.is_highest_weight(w), c.is_lowest_weight(w)
             for h in range(big_n + 1):
-                rec_u, rec_v = c._block(w[:h], limit), c._block(w[h:], limit)
+                rec_u, rec_v = c._block(w[:h]), c._block(w[h:])
                 for k, (phi, _, eps, _) in enumerate(brackets):
                     eps_u, phi_u, eps_v, phi_v = rec_u[3 * k], rec_u[3 * k + 1], rec_v[3 * k], rec_v[3 * k + 1]
                     assert (eps, phi) == (eps_v + max(eps_u - phi_v, 0), phi_u + max(phi_v - eps_u, 0))
-                successors, counts = c._lowering(h, limit)
+                successors, counts = c._lowering(h)
                 assert successors(w) == [m for m in moves if m is not None]
                 assert counts == [top, bottom]
 
@@ -487,9 +486,9 @@ def test_the_record_store_stops_at_the_node_limit():
     walked = [c.component_members(hw) for hw in tops]
     assert len(c._blocks) == 4**2 + 4**3  # every half-word of lengths 2 and 3; scans store none
     for bits in (4, 5, 6):  # the largest component at (2, 5) has 12 words
-        capped = SpinCrystal(2)
+        capped = SpinCrystal(2, bits)
         capped._tops[5] = tuple(tops)
-        assert [capped.component_members(hw, bits) for hw in tops] == walked
+        assert [capped.component_members(hw) for hw in tops] == walked
         assert len(capped._blocks) == 1 << bits
 
 

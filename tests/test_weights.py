@@ -110,20 +110,6 @@ def test_orthweight_dominance():
         OrthWeight((2,), 4)  # wrong coordinate count
 
 
-def test_from_halves():
-    from fractions import Fraction
-
-    assert Weight.from_halves([Fraction(3, 2), Fraction(1, 2)]).coords2 == (3, 1)
-    assert Weight.from_halves([1, 0]).coords2 == (2, 0)
-    with pytest.raises(ValidationError, match="is not a half-integer"):
-        Weight.from_halves([Fraction(1, 3), 0])
-    # 2 * True == 2 would read True as 1/2; int() of inf or nan, or 2 * None, would raise
-    # OverflowError, ValueError or TypeError instead of a ValidationError
-    for bad in (True, False, None, "1", [1], 1j, float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(ValidationError, match="^expected a finite number, got "):
-            Weight.from_halves([1, bad])
-
-
 def test_weight_json_round_trip():
     w = Weight((3, 1, 1, -1))
     assert Weight.from_json(w.to_json()) == w
