@@ -8,9 +8,11 @@ Weights on the command line are comma-separated DOUBLED coordinates:
 kind, the convert source, the export target or the verify suite; ``act`` has one
 row. Each row names the options the kind reads, those it requires, and the
 formats it writes, default first; under ``--check``, ``convert`` also reads its
-target's row. ``build_parser`` declares each command's options as the union of
-its rows, and ``_check_options`` refuses an option the row does not read,
-requires the required ones and resolves ``--format`` before the command runs.
+target's row. ``build_parser(command)`` names all five commands but declares the
+positionals and options of ``command`` alone, as the union of its rows; with no
+command it declares every command's. ``main`` names the command from its argv,
+and ``_check_options`` refuses an option the row does not read, requires the
+required ones and resolves ``--format`` before the command runs.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ def cmd_enumerate(args):
         nu = _nu(args)
         if nu.N >= 3:  # enumerate_gtp refuses a lower height as a usage error
             _charge_enumeration(args, youngt.count_sssyt(nu))
+            _charge_pattern(nu.N, _budget_bits(args))
         patterns = youngt.enumerate_gtp(nu)
         records = [p.to_json() for p in patterns]
         lines = [str(p.to_json()) for p in patterns]
@@ -113,7 +116,7 @@ def _charge_enumeration(args, count):
     """Refuse up front an enumeration of more than 2^budget records. Weights and diagrams
     number count_delta(n, N); tables, chains and patterns of shape nu (f_map of the table
     shape) are equinumerous, count_sssyt(nu)."""
-    crystal._check_budget(max(count - 1, 0).bit_length(), _budget_bits(args))
+    crystal._check_count(count, _budget_bits(args))
 
 
 def _nu(args):
@@ -133,6 +136,12 @@ def _decode(from_json, data, **kwargs):
         raise ValidationError(f"malformed record: {exc!r}") from exc
 
 
+def _charge_pattern(big_n, budget_bits):
+    """Refuse up front the pattern of a length-N chain past the node limit: its rows at
+    ranks N down to 3 hold k // 2 entries each, N^2 // 4 - 1 in all."""
+    crystal._check_count(big_n * big_n // 4 - 1, budget_bits)
+
+
 def _read(args, kind, data):
     """The table a record of the given kind names, read through y_inverse or j_inverse."""
     if kind == "table":
@@ -142,25 +151,29 @@ def _read(args, kind, data):
         if args.n not in (None, chain.shape.n):
             raise ValidationError(f"--n {args.n} does not match the chain's n {chain.shape.n}")
     else:  # gtp
-        chain = youngt.j_inverse(_decode(youngt.GTPattern.from_json, data), _nu(args))
+        pattern, nu = _decode(youngt.GTPattern.from_json, data), _nu(args)
+        _charge_pattern(args.N, _budget_bits(args))
+        chain = youngt.j_inverse(pattern, nu)
     return youngt.y_inverse(chain)
 
 
-def _as(kind, table):
+def _as(args, kind, table):
     """The table as a record of the given kind: itself, y_map(table) or j_map(y_map(table))."""
     if kind == "table":
         return table
+    if kind == "gtp":
+        _charge_pattern(table.length, _budget_bits(args))
     chain = youngt.y_map(table)
     return chain if kind == "sssyt" else youngt.j_map(chain)
 
 
 def cmd_convert(args):
-    value = _as(args.target, _read(args, args.kind, _load_payload(args)))
+    value = _as(args, args.target, _read(args, args.kind, _load_payload(args)))
     record = value.to_json()
     round_trip_ok = None
     if args.check:
-        back = _as(args.kind, _read(args, args.target, record))
-        round_trip_ok = _as(args.target, _read(args, args.kind, back.to_json())) == value
+        back = _as(args, args.kind, _read(args, args.target, record))
+        round_trip_ok = _as(args, args.target, _read(args, args.kind, back.to_json())) == value
     payload = {"schema": SCHEMA, "from": args.kind, "to": args.target, "record": record}
     lines = [json.dumps(record)]
     if round_trip_ok is not None:
@@ -178,7 +191,7 @@ def cmd_act(args):
     budget = _budget_bits(args)
     cache = cactus.XiCache(crystal.SpinCrystal(table.height, budget), budget)
     moved = cactus.act_on_table(cache, gens, table)
-    record = _as(args.as_kind or "table", moved).to_json()
+    record = _as(args, args.as_kind or "table", moved).to_json()
     payload = {
         "schema": SCHEMA,
         "word": args.word,
@@ -216,10 +229,11 @@ VERIFY_OPTIONS = {
     "cactus-relations": {"n": ("n", int), "N": ("big_n", _at_least("--N", 2)),
                          "budget_bits": _BUDGET_BITS},
     "thm2": {"n": _N_VALUES, "N": _BIG_N_MAX, "budget_bits": _BUDGET_BITS},
-    "thm52": {"n": _N_VALUES, "N": _BIG_N_MAX, "seed": ("seed", int)},
-    "thm51-signs": {"n": _N_VALUES},
+    "thm52": {"n": _N_VALUES, "N": _BIG_N_MAX, "seed": ("seed", int), "budget_bits": _BUDGET_BITS},
+    "thm51-signs": {"n": _N_VALUES, "budget_bits": _BUDGET_BITS},
     "bijections": {"n": ("chain_n_max", _rank),
-                   "N": ("chain_big_ns", lambda top: tuple(range(3, _chain_length(top) + 1)))},
+                   "N": ("chain_big_ns", lambda top: tuple(range(3, _chain_length(top) + 1))),
+                   "budget_bits": _BUDGET_BITS},
 }
 
 
@@ -302,9 +316,9 @@ READS = {
         "gtp": (_NU + ("budget_bits",), _NU, _TEXT),
     },
     "convert": {
-        "table": (("payload", "check"), (), _TEXT),
-        "sssyt": (("payload", "check", "n"), (), _TEXT),
-        "gtp": (("payload", "check") + _NU, _NU, _TEXT),
+        "table": (("payload", "check", "budget_bits"), (), _TEXT),
+        "sssyt": (("payload", "check", "n", "budget_bits"), (), _TEXT),
+        "gtp": (("payload", "check") + _NU + ("budget_bits",), _NU, _TEXT),
     },
     "act": {"": (("word", "payload", "as_kind", "budget_bits"), ("word",), _TEXT)},
     "verify": {name: (tuple(reads), (), ("json",))
@@ -339,7 +353,10 @@ def _check_options(args):
                               f"choose from {', '.join(formats)}")
 
 
-def build_parser():
+def build_parser(command=None):
+    """The CLI parser. Every command is named, with its help text; only ``command``'s
+    positionals and options are declared, every command's when it is None, and none when
+    it names no command."""
     parser = argparse.ArgumentParser(
         prog="spincactus",
         description=(
@@ -349,19 +366,21 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, func, text in (
+    for name, func, text in (
         ("enumerate", cmd_enumerate, "enumerate delta/diagrams/tables/sssyt/gtp"),
         ("convert", cmd_convert, "convert between table/sssyt/gtp records"),
         ("act", cmd_act, "apply a cactus word to a table"),
         ("verify", cmd_verify, "run a verification suite"),
         ("export", cmd_export, "export crystal graph, component, or orbit"),
     ):
-        rows = READS[command]
-        p = sub.add_parser(command, help=text)
+        p = sub.add_parser(name, help=text)
         p.set_defaults(func=func, kind="")  # act's one row has no positional kind
-        if command != "act":
+        if command not in (None, name):
+            continue
+        rows = READS[name]
+        if name != "act":
             p.add_argument("kind", choices=tuple(rows))
-        if command == "convert":
+        if name == "convert":
             p.add_argument("target", choices=tuple(rows))
         declared = {option for reads, _, _ in rows.values() for option in reads}
         for option, (flag, kwargs) in OPTIONS.items():
@@ -372,7 +391,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has no option of its own, so the first bare token names the
+    # command; with none, or an unknown one, parsing fails before any command's options
+    parser = build_parser(next((token for token in argv if not token.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -83,6 +83,11 @@ def _check_budget(needed_bits, budget_bits):
         raise BudgetExceededError(needed_bits, budget_bits)
 
 
+def _check_count(count, budget_bits):
+    """Refuse up front a scan of count nodes that exceeds the limit."""
+    _check_budget(max(count - 1, 0).bit_length(), budget_bits)
+
+
 def closure(start, successors, budget_bits):
     """The nodes reachable from start, depth first; successors(node) yields its neighbours,
     None for a missing one. Raises BudgetExceededError past node_limit(budget_bits) nodes."""

@@ -13,6 +13,7 @@ from .cactus import XiCache, act_on_table, word_to_permutation
 from .celldiag import (
     CellDiagram,
     CellTable,
+    count_delta,
     diagram_of_weight,
     enumerate_delta,
     enumerate_tables,
@@ -27,7 +28,8 @@ from .clifford import (
     kappa_sigma,
     wedge_insert,
 )
-from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal, _check_budget, closure
+from .crystal import (DEFAULT_BUDGET_BITS, SpinCrystal, _check_budget, _check_count, closure,
+                      node_limit)
 from .errors import ValidationError
 from .weights import Weight, is_dominant_d, spinor_weights, w0_image
 from .youngt import (
@@ -50,6 +52,31 @@ from .youngt import (
 )
 
 SCHEMA = "cactus-crystal/1"  # the schema id of every JSON report and CLI record
+
+
+def _charge_running(steps, budget_bits):
+    """Refuse up front a suite whose steps sum past the node limit; the sum stops at the first
+    step that passes it, so a refusal reads no further (and reports at least that much)."""
+    limit, total = node_limit(budget_bits), 0
+    for step in steps:
+        total += step
+        if total > limit:
+            break
+    _check_count(total, budget_bits)
+
+
+def _charge_top_vectors(n_values, big_ns, cost, budget_bits):
+    """Refuse up front a top-vector suite past the node limit: each weight of Δ(n, N) has
+    one top vector, charged cost(n, N) nodes."""
+    _check_count(sum(count_delta(n, big_n) * cost(n, big_n) for n in n_values for big_n in big_ns),
+                 budget_bits)
+
+
+def _raising_count(n, big_n):
+    """How many raising operators ExteriorAlgebra(n, big_n).check_singular applies: n(n - 1)
+    on the column side, d(d - 1) on the row side and d more at odd N, for d = N // 2."""
+    d = big_n // 2
+    return n * (n - 1) + d * (d - 1) + d * (big_n % 2)
 
 
 def _report(suite, params, checks):
@@ -317,10 +344,12 @@ def _generator_permutations(n, big_n, budget_bits):
     in that shape's enumerate_tables list: one act_on_table per (generator, table)."""
     crystal = SpinCrystal(n, budget_bits)
     cache = XiCache(crystal, budget_bits)
+    # every shape has a table: refuse past the limit before listing generators or shapes
+    _check_count(big_n * (big_n - 1) // 2 * count_delta(n, big_n), budget_bits)
     gens = [(p, q) for p in range(1, big_n + 1) for q in range(p + 1, big_n + 1)]
     shapes = [enumerate_tables(diagram_of_weight(lam, big_n)) for lam in enumerate_delta(n, big_n)]
     # one action per (generator, table): refuse up front a total past the node limit
-    _check_budget(max(len(gens) * sum(map(len, shapes)) - 1, 0).bit_length(), budget_bits)
+    _check_count(len(gens) * sum(map(len, shapes)), budget_bits)
     perms = []
     for tables in shapes:
         index = {t: k for k, t in enumerate(tables)}
@@ -401,7 +430,11 @@ def suite_thm2(n_values=(2, 3), big_n_max=3, budget_bits=DEFAULT_BUDGET_BITS):
     return _report("thm2", {"n_values": list(n_values), "N_max": big_n_max}, checks)
 
 
-def suite_thm52(n_values=(2, 3), big_n_max=4, seed=20240801):
+def suite_thm52(n_values=(2, 3), big_n_max=4, seed=20240801, budget_bits=DEFAULT_BUDGET_BITS):
+    """Theorem 5.2 on the top vector of every weight at n in n_values, N <= big_n_max, after
+    random checks of the wedge/contraction relations and of the commuting row and column
+    actions. Each top vector is charged one node per raising operator applied to it."""
+    _charge_top_vectors(n_values, range(1, big_n_max + 1), _raising_count, budget_bits)
     checks = []
     rng = random.Random(seed)
     nbits = 16
@@ -474,7 +507,10 @@ def suite_thm52(n_values=(2, 3), big_n_max=4, seed=20240801):
 THM51_EVEN_NS, THM51_ODD_NS = (2, 4), (1, 3)
 
 
-def suite_thm51_signs(n_values=(2, 3)):
+def suite_thm51_signs(n_values=(2, 3), budget_bits=DEFAULT_BUDGET_BITS):
+    """The row-swap (even N) and negation (odd N) signs of Theorem 5.1 on the top vector of
+    every weight; each top vector is charged n nodes, one per column it fills."""
+    _charge_top_vectors(n_values, THM51_EVEN_NS + THM51_ODD_NS, lambda n, _: n, budget_bits)
     checks = []
     branches = set()
     for n in n_values:
@@ -694,7 +730,18 @@ def _steps_read_back(tables, seen):
 KN_MAX, F_MAX = (4, 7), (5, 7)
 
 
-def suite_bijections(chain_n_max=3, chain_big_ns=(3, 4)):
+def suite_bijections(chain_n_max=3, chain_big_ns=(3, 4), budget_bits=DEFAULT_BUDGET_BITS):
+    """Weights, diagrams and partitions in bijection at fixed sizes; then every table of
+    height n <= chain_n_max and length N in chain_big_ns, through the y and j maps and back.
+    A table takes about nN steps there, and count_sssyt counts each shape's tables: the
+    largest (n, N) is charged at one table per shape before its shapes are listed."""
+    if chain_n_max >= 2 and chain_big_ns:
+        longest = max(chain_big_ns)
+        _check_count(count_delta(chain_n_max, longest) * chain_n_max * longest, budget_bits)
+        _charge_running((count_sssyt(f_map(diagram_of_weight(lam, big_n))) * n * big_n
+                         for n in range(chain_n_max, 1, -1)
+                         for big_n in sorted(chain_big_ns, reverse=True)
+                         for lam in enumerate_delta(n, big_n)), budget_bits)
     checks = []
     for n in range(2, KN_MAX[0] + 1):
         for big_n in range(1, KN_MAX[1] + 1):

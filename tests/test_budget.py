@@ -13,11 +13,13 @@ from spincactus import youngt
 from spincactus.cactus import XiCache, orbit, parse_cactus_word
 from spincactus.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from spincactus.celldiag import diagram_of_weight, enumerate_delta, enumerate_tables
+from spincactus.clifford import ExteriorAlgebra
 from spincactus.crystal import (DEFAULT_BUDGET_BITS, SpinCrystal, census_json, closure,
                                 crystal_dot, node_limit)
 from spincactus.errors import BudgetExceededError, ValidationError
-from spincactus.suites import (XiTableReference, _all_syd, suite_cactus_relations,
-                               suite_census, suite_commutor, suite_crystal_axioms, suite_thm2)
+from spincactus.suites import (XiTableReference, _all_syd, _raising_count, suite_bijections,
+                               suite_cactus_relations, suite_census, suite_commutor,
+                               suite_crystal_axioms, suite_thm2, suite_thm51_signs, suite_thm52)
 from spincactus.weights import Weight
 
 CRYSTAL = SpinCrystal(2)
@@ -32,6 +34,9 @@ ENTRY_POINTS = {
     "XiTableReference": lambda bits: XiTableReference(CRYSTAL, bits).xi_word((0, 0)),
     "XiCache": lambda bits: XiCache(CRYSTAL, bits),
     "suite_crystal_axioms": lambda bits: suite_crystal_axioms((2,), 1, bits),
+    "suite_thm52": lambda bits: suite_thm52((2,), 1, budget_bits=bits),
+    "suite_thm51_signs": lambda bits: suite_thm51_signs((2,), budget_bits=bits),
+    "suite_bijections": lambda bits: suite_bijections(2, (3,), budget_bits=bits),
 }
 
 
@@ -394,3 +399,67 @@ def test_a_large_enumeration_is_refused_in_bounded_time(capsys, monkeypatch, arg
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert capsys.readouterr() == ("", f"error: {BudgetExceededError(bits, 20)}\n")
+
+
+@pytest.mark.parametrize("suite, needed", [
+    # 2 weights at N = 1 and 4 at N = 2, each checked by the 2 column raising operators
+    (lambda bits: suite_thm52((2,), 2, budget_bits=bits), 4),
+    # then 6, 2, 5 and 8 weights at (2, 3), (3, 1), (3, 2), (3, 3) times 3, 6, 6, 7: 128
+    (lambda bits: suite_thm52((2, 3), 3, budget_bits=bits), 7),
+    # 4, 9, 2 and 6 weights at N = 2, 4, 1, 3, times n = 2 columns each: 42 nodes
+    (lambda bits: suite_thm51_signs((2,), budget_bits=bits), 6),
+    (lambda bits: suite_thm51_signs((2, 3), budget_bits=bits), 8),
+    # the tables at n = 2, N = 3 times their 6 steps
+    (lambda bits: suite_bijections(2, (3,), budget_bits=bits), 7),
+    (lambda bits: suite_bijections(3, (3, 4), budget_bits=bits), 12),
+], ids=["thm52-2-2", "thm52-23-3", "thm51-2", "thm51-23", "bijections-2-3", "bijections-3-34"])
+def test_top_vector_and_bijection_suites_charge_up_front(suite, needed):
+    assert suite(needed)["pass"]
+    with pytest.raises(BudgetExceededError) as info:
+        suite(needed - 1)
+    assert (info.value.needed_bits, info.value.budget_bits) == (needed, needed - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm52", "--n", "2094", "--N", "4"],
+    ["thm52", "--n", "1000", "--N", "1"],
+    ["thm52", "--N", "2000"],
+    ["thm51-signs", "--n", "1393"],
+    ["bijections", "--n", "2391", "--N", "4"],
+    ["bijections", "--n", "1000", "--N", "3"],
+    ["bijections", "--N", "2000"],
+    ["cactus-relations", "--n", "2", "--N", "2000", "--budget-bits", "12"],
+])
+def test_a_large_suite_is_refused_in_bounded_time(capsys, monkeypatch, argv):
+    # each ran for minutes: the first three suites had no charge, and cactus-relations
+    # listed a million weights before its charge
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the suite's charge took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        start = time.perf_counter()
+        assert main(["verify"] + argv) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert capsys.readouterr().err.startswith("error: scan needs about 2^")
+
+
+@pytest.mark.parametrize("n, big_n", [(n, big_n) for n in range(2, 6) for big_n in range(1, 8)])
+def test_the_raising_count_is_the_operators_check_singular_applies(n, big_n):
+    alg = ExteriorAlgebra(n, big_n)
+    assert _raising_count(n, big_n) == len(alg.column_raising) + len(alg.row_raising)
+
+
+@pytest.mark.parametrize("suite", [
+    lambda: suite_thm52((2,), 0, budget_bits=0),
+    lambda: suite_thm52((), 3, budget_bits=0),
+    lambda: suite_thm51_signs((), budget_bits=0),
+], ids=["thm52-no-N", "thm52-no-n", "thm51-no-n"])
+def test_a_top_vector_suite_with_no_top_vectors_charges_nothing(suite):
+    assert suite()["pass"]

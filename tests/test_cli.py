@@ -10,7 +10,7 @@ import types
 
 import pytest
 
-from spincactus import suites
+from spincactus import cli, suites
 from spincactus.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, VERIFY_OPTIONS, build_parser
 from spincactus.cli import OPTIONS, READS, main
 from spincactus.crystal import DEFAULT_BUDGET_BITS
@@ -491,9 +491,9 @@ MALFORMED = [
     ["act", "--word", "s(1,2)", "--format", "dot", "--payload", '{"steps2": [[1, 1], [1, -1]]}'],
     # an option the suite does not read
     ["verify", "thm51-signs", "--N", "7"],
-    ["verify", "thm51-signs", "--budget-bits", "0"],
-    ["verify", "thm52", "--budget-bits", "0"],
-    ["verify", "bijections", "--budget-bits", "0"],
+    ["verify", "thm2", "--seed", "5"],
+    ["verify", "commutor", "--seed", "5"],
+    ["verify", "crystal-axioms", "--seed", "5"],
     # --seed is read by the thm52 suite alone
     ["verify", "bijections", "--seed", "5"],
     ["verify", "cactus-relations", "--seed", "5"],
@@ -556,8 +556,7 @@ REFUSED = [
     (["act", "--word", "", "--payload", TWO_BY_TWO, "--seed", "3"], "--seed"),
     (["enumerate", "delta", "--n", "2", "--N", "2", "--payload", "{}"], "--payload"),
     (["enumerate", "delta", "--n", "2", "--N", "2", "--seed", "1"], "--seed"),
-    (["convert", "table", "sssyt", "--payload", TWO_BY_TWO, "--budget-bits", "3"],
-     "--budget-bits"),
+    (["convert", "table", "sssyt", "--payload", TWO_BY_TWO, "--nu", "1"], "--nu"),
     (["convert", "table", "sssyt", "--payload", TWO_BY_TWO, "--seed", "1"], "--seed"),
     (["export", "orbit", "--payload", TWO_BY_TWO, "--seed", "1"], "--seed"),
     *[(argv, "--seed") for argv in MALFORMED if "--seed" in argv],
@@ -598,17 +597,19 @@ def test_refused_option_exits_2_naming_it(capsys, monkeypatch, argv, flag):
     assert out == "" and flag in err
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_each_command_declares_only_the_options_it_reads():
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     declared = {
         name: sorted(flag for action in sub._actions for flag in action.option_strings
                      if flag not in ("-h", "--help"))
-        for name, sub in commands.choices.items()
+        for name, sub in _subparsers(build_parser()).items()
     }
     assert declared == {
         "enumerate": ["--N", "--budget-bits", "--format", "--lambda", "--n", "--nu"],
-        "convert": ["--N", "--check", "--format", "--n", "--nu", "--payload"],
+        "convert": ["--N", "--budget-bits", "--check", "--format", "--n", "--nu", "--payload"],
         "act": ["--as", "--budget-bits", "--format", "--payload", "--word"],
         "verify": ["--N", "--budget-bits", "--format", "--n", "--seed"],
         "export": ["--N", "--budget-bits", "--format", "--n", "--out", "--payload", "--word"],
@@ -733,10 +734,9 @@ def test_deep_usage_errors_exit_2_with_their_message(capsys, argv, message):
 
 
 def test_each_command_declares_the_union_of_its_rows():
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(commands.choices) == list(READS)
-    for name, sub in commands.choices.items():
+    commands = _subparsers(build_parser())
+    assert list(commands) == list(READS)
+    for name, sub in commands.items():
         rows = READS[name]
         flags = {flag for action in sub._actions for flag in action.option_strings}
         reads = {OPTIONS[option][0] for options, _, _ in rows.values() for option in options}
@@ -747,6 +747,89 @@ def test_each_command_declares_the_union_of_its_rows():
     assert list(READS["act"]) == [""]
 
 
+def _declared(sub):
+    return [(type(a), a.option_strings, a.dest, a.choices, a.help, a.default, a.type, a.nargs,
+             a.required) for a in sub._actions]
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_a_named_command_declares_its_own_options_alone(command):
+    full, named = build_parser(), build_parser(command)
+    assert named.format_help() == full.format_help()
+    full_subs, named_subs = _subparsers(full), _subparsers(named)
+    assert list(named_subs) == list(full_subs)
+    for name, sub in named_subs.items():
+        assert sub._defaults == full_subs[name]._defaults, name
+        if name == command:
+            assert _declared(sub) == _declared(full_subs[name])
+        else:
+            assert [a.option_strings for a in sub._actions] == [["-h", "--help"]], name
+
+
+def _full_parser_exit(capsys, argv):
+    """The exit code, stdout and stderr of the parser declaring every command on argv."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h", "act"]]
+                         + [[command, "--help"] for command in READS])
+def test_help_is_the_full_parsers(capsys, argv):
+    code, out, err = _full_parser_exit(capsys, argv)
+    assert (code, err) == (0, "") and out.startswith("usage: spincactus")
+    assert run(capsys, *argv) == (EXIT_OK, out, "")
+
+
+WORD = ("--word", "s(1,2)")
+PARSE_ERRORS = [
+    [],  # no command
+    ["bogus"],
+    ["--n", "3", "act"],
+    ["enumerate"],  # no kind
+    ["export", "--n", "2"],
+    ["convert", "table"],  # no target
+    ["enumerate", "bogus"],
+    ["act", *WORD, "--lambda", "1"],  # options the command does not declare
+    ["verify", "census", "--n", "2", "--out", "f"],
+    ["convert", "table", "gtp", "--check", "--lambda", "1"],
+    ["act", *WORD, "stray"],
+    ["act", *WORD, "--as", "bogus"],  # a bad choice
+    ["enumerate", "delta", "--n", "x"],
+    ["export", "orbit", "--word"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ERRORS)
+def test_parse_errors_are_the_full_parsers(capsys, argv):
+    code, out, err = _full_parser_exit(capsys, argv)
+    assert code == EXIT_USAGE and err.startswith("usage: spincactus")
+    assert run(capsys, *argv) == (EXIT_USAGE, out, err)
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["act", *WORD, "--payload", '{"steps2": [[1, 1]]}'], "act"),
+    (["verify", "census", "--n", "2"], "verify"),
+    (["-h", "export"], "export"),
+    (["--n", "3", "act"], "3"),  # the top level reads no --n: parsing fails on "3"
+    (["bogus", "act"], "bogus"),
+    ([], ""),
+])
+def test_main_builds_the_options_of_the_named_command(capsys, monkeypatch, argv, command):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or real(name))
+    run(capsys, *argv)
+    assert built == [command]
+
+
+def test_main_reads_the_process_arguments(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["spincactus", "act", "--help"])
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out == _subparsers(build_parser())["act"].format_help()
+
+
 @pytest.mark.parametrize("big_n", ["2", "1"])
 def test_bijections_refuses_lengths_below_three(capsys, big_n):
     code, out, err = run(capsys, "verify", "bijections", "--N", big_n)
@@ -755,12 +838,35 @@ def test_bijections_refuses_lengths_below_three(capsys, big_n):
 
 
 def test_bijections_reads_lengths_from_three(capsys, monkeypatch):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
     seen = []
     monkeypatch.setitem(suites.SUITES, "bijections",
                         lambda **kwargs: seen.append(kwargs) or {"pass": True})
     assert run(capsys, "verify", "bijections", "--N", "3")[0] == EXIT_OK
     assert run(capsys, "verify", "bijections", "--N", "5")[0] == EXIT_OK
-    assert seen == [{"chain_big_ns": (3,)}, {"chain_big_ns": (3, 4, 5)}]
+    budget = {"budget_bits": DEFAULT_BUDGET_BITS}
+    assert seen == [{"chain_big_ns": (3,), **budget}, {"chain_big_ns": (3, 4, 5), **budget}]
+
+
+@pytest.mark.parametrize("suite", ["thm52", "thm51-signs", "bijections"])
+def test_top_vector_and_bijection_suites_read_the_budget(capsys, monkeypatch, suite):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    code, out, err = run(capsys, "verify", suite, "--budget-bits", "0")
+    assert (code, out) == (EXIT_BUDGET, "") and err.startswith("error: scan needs about 2^")
+    assert run(capsys, "verify", suite, "--budget-bits", "16")[0] == EXIT_OK
+
+
+# a length-5 table: its pattern holds 5 * 5 // 4 - 1 = 5 entries, past 2^2 nodes
+FIVE_STEPS = '{"steps2": [[1, 1], [1, -1], [1, 1], [1, -1], [1, 1]]}'
+
+
+@pytest.mark.parametrize("bits, status", [("2", EXIT_BUDGET), ("3", EXIT_OK)])
+def test_convert_charges_a_pattern_against_its_budget(capsys, monkeypatch, bits, status):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    argv = ["convert", "table", "gtp", "--payload", FIVE_STEPS]
+    assert run(capsys, *argv, "--budget-bits", bits)[0] == status
+    monkeypatch.setenv("CACTUS_BUDGET_BITS", bits)
+    assert run(capsys, *argv)[0] == status
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"

@@ -1,18 +1,24 @@
 """Exit-code fuzz: seeded random argv and mutated payloads through cli.main.
 
 Every call must return one of the four exit codes (0 ok, 1 verification failure,
-2 usage, 3 budget) and none may raise. Sizes stay small so each call is quick:
-ranks and tensor powers in -1..4, --budget-bits at most 12. Every call gets its
-payload from --payload or from a patched stdin, so none waits on the terminal.
+2 usage, 3 budget) and none may raise. The main draw keeps sizes small so each
+call is quick: ranks and tensor powers in -1..4, --budget-bits at most 12. Every
+call gets its payload from --payload or from a patched stdin, so none waits on the
+terminal. The size-edge draw puts one size in 1000..3000 and holds each call to
+EDGE_SECONDS: past the budget a call must refuse, not run long.
 """
 
 import io
+import itertools
 import json
 import random
+import signal
+from operator import add
 
 from spincactus import celldiag, youngt
+from spincactus.celldiag import CellTable
 from spincactus.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, OPTIONS, READS, main
-from spincactus.weights import Weight
+from spincactus.weights import Weight, is_dominant2
 
 CALLS = 400
 EXITS = (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET)
@@ -160,3 +166,93 @@ def test_random_cli_calls_return_an_exit_code(capsys, monkeypatch, tmp_path):
         assert code in EXITS, argv
         seen.add(code)
     assert {EXIT_OK, EXIT_USAGE, EXIT_BUDGET} <= seen
+
+
+EDGE_CALLS = 25
+EDGE_SECONDS = 2
+
+
+def _edge_table(rng, n, length):
+    """A random table record of height n and the given length: every prefix sum stays
+    dominant. Past rank 4 each step is one of the two dominant spinor weights."""
+    plus = (1,) * n
+    total, steps = plus, [plus]
+    for _ in range(length - 1):
+        if n <= 4:
+            options = [c for c in itertools.product((1, -1), repeat=n)
+                       if is_dominant2(tuple(map(add, total, c)))]
+        else:
+            options = [plus, plus[:-1] + (-1,)]
+        step = rng.choice(options)
+        total = tuple(map(add, total, step))
+        steps.append(step)
+    return CellTable(tuple(Weight(step) for step in steps))
+
+
+def _edge_argv(rng, command, tmp_path):
+    """A call whose --n or --N (or, for act and convert table, whose payload's height or
+    length) is in 1000..3000, with every other size small and --budget-bits at most 12."""
+    kinds = [rng.choice(sorted(READS[command]))]
+    if command == "convert":
+        kinds.append(rng.choice(sorted(READS[command])))
+    reads = READS[command][kinds[0]][0]
+    check = command == "convert" and rng.random() < 0.5
+    if check:
+        reads += READS[command][kinds[1]][0]
+    # a payload carries both sizes; otherwise the large one is a flag the row reads
+    sizes = ("n", "N") if "payload" in reads else [d for d in ("n", "N") if d in reads]
+    big = rng.choice(sizes)
+    dims = {"n": rng.randint(2, 4), "N": rng.randint(1, 4), big: rng.randint(1000, 3000)}
+    table = _edge_table(rng, dims["n"], dims["N"])
+    records = {  # built only when read; a chain shorter than 3 has no pattern
+        "table": table.to_json,
+        "sssyt": lambda: youngt.y_map(table).to_json(),
+        "gtp": lambda: (youngt.j_map(youngt.y_map(table)) if dims["N"] >= 3 else table).to_json(),
+    }
+    nu = rng.choice(("0", "1", "2", "1,1", "2,1"))
+    if command == "convert" and rng.random() < 0.7:  # the record's own shape
+        nu = ",".join(map(str, youngt.y_map(table).shape.rows)) or "0"
+    top = rng.choice((dims["N"], dims["N"] % 2))
+    values = {
+        "n": dims["n"], "N": dims["N"], "nu": nu, "lam": ",".join([str(top)] * dims["n"]),
+        "word": " ".join(f"s({p},{q})" for p, q in (sorted(rng.sample(range(1, dims["N"] + 2), 2))
+                                                  for _ in range(rng.randint(1, 2)))),
+        "as_kind": rng.choice(("table", "sssyt", "gtp")), "budget_bits": rng.randint(0, 12),
+        "seed": rng.randint(0, 3), "out": tmp_path / "out.txt",
+    }
+    argv = [command] + [k for k in kinds if k] + ["--check"] * check
+    if "payload" in reads:
+        values["payload"] = json.dumps(records.get(kinds[0], records["table"])())
+    for option in dict.fromkeys(reads):
+        if option != "check":
+            argv += [OPTIONS[option][0], str(values[option])]
+    return argv
+
+
+class SlowCall(Exception):
+    """The alarm's exception; main would report a TimeoutError, an OSError, as exit 2."""
+
+
+def test_size_edge_cli_calls_return_an_exit_code_in_bounded_time(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    rng = random.Random(21)
+    commands = sorted(READS)
+
+    def timeout(signum, frame):
+        raise SlowCall(f"the call took more than {EDGE_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        for i in range(EDGE_CALLS):
+            argv = _edge_argv(rng, commands[i % len(commands)], tmp_path)
+            signal.alarm(EDGE_SECONDS)
+            try:
+                code = main(argv)
+            except BaseException as exc:  # noqa: BLE001 - the contract is that nothing escapes
+                raise AssertionError(f"{[a[:40] for a in argv]!r} raised {exc!r}") from exc
+            finally:
+                signal.alarm(0)
+            capsys.readouterr()
+            assert code in EXITS, argv
+    finally:
+        signal.signal(signal.SIGALRM, previous)
