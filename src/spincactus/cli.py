@@ -12,7 +12,11 @@ target's row. ``build_parser(command)`` names all five commands but declares the
 positionals and options of ``command`` alone, as the union of its rows; with no
 command it declares every command's. ``main`` names the command from its argv,
 and ``_check_options`` refuses an option the row does not read, requires the
-required ones and resolves ``--format`` before the command runs.
+required ones and resolves ``--format`` before the command runs. ``main`` then
+resolves the node budget once, for every command: ``--budget-bits``, else
+``CACTUS_BUDGET_BITS``, else ``crystal.DEFAULT_BUDGET_BITS``, an unusable value
+exiting 2; each command reads it as ``args.budget_bits`` and charges its scans
+through ``crystal.charge``.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ def _parse_csv_ints(text):
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _budget_bits(args):
-    bits = args.budget_bits
+def _resolve_budget(bits):
+    """--budget-bits, else CACTUS_BUDGET_BITS, else DEFAULT_BUDGET_BITS, checked by node_limit."""
     if bits is None:
         raw = os.environ.get("CACTUS_BUDGET_BITS")
         try:
@@ -72,9 +76,12 @@ def _load_payload(args):
 
 
 def cmd_enumerate(args):
-    kind = args.kind
+    # each kind refuses up front a listing of more than 2^budget records: weights and
+    # diagrams number count_delta(n, N); tables, chains and patterns of shape nu (f_map of
+    # the table shape) are equinumerous, count_sssyt(nu)
+    kind, budget = args.kind, args.budget_bits
     if kind in ("delta", "diagrams"):
-        _charge_enumeration(args, celldiag.count_delta(args.n, args.N))
+        crystal.charge(celldiag.count_delta(args.n, args.N), budget)
         lams = celldiag.enumerate_delta(args.n, args.N)
         if kind == "delta":
             records = [lam.to_json() for lam in lams]
@@ -88,35 +95,28 @@ def cmd_enumerate(args):
         if args.n is not None and args.n != lam.rank:
             raise ValidationError(f"--n {args.n} does not match the rank {lam.rank} of --lambda")
         shape = celldiag.diagram_of_weight(lam, args.N)
-        crystal._check_budget(lam.rank, _budget_bits(args))  # each state tries the 2^n steps
-        _charge_enumeration(args, youngt.count_sssyt(youngt.f_map(shape)))
+        crystal.charge(crystal.word_count(lam.rank, 1), budget)  # each state tries the 2^n steps
+        crystal.charge(youngt.count_sssyt(youngt.f_map(shape)), budget)
         tables = celldiag.enumerate_tables(shape)
         records = [t.to_json() for t in tables]
         lines = [str(t.to_json()["steps2"]) for t in tables]
     elif kind == "sssyt":
         nu = _nu(args)
-        _charge_enumeration(args, youngt.count_sssyt(nu))
+        crystal.charge(youngt.count_sssyt(nu), budget)
         chains = youngt.enumerate_sssyt(nu)
         records = [s.to_json() for s in chains]
         lines = [str(s.to_json()["chain"]) for s in chains]
     else:  # gtp
         nu = _nu(args)
         if nu.N >= 3:  # enumerate_gtp refuses a lower height as a usage error
-            _charge_enumeration(args, youngt.count_sssyt(nu))
-            _charge_pattern(nu.N, _budget_bits(args))
+            crystal.charge(youngt.count_sssyt(nu), budget)
+            _charge_pattern(nu.N, budget)
         patterns = youngt.enumerate_gtp(nu)
         records = [p.to_json() for p in patterns]
         lines = [str(p.to_json()) for p in patterns]
     payload = {"schema": SCHEMA, "kind": kind, "records": records, "count": len(records)}
     _emit(args, payload, lines + [f"count: {len(records)}"])
     return EXIT_OK
-
-
-def _charge_enumeration(args, count):
-    """Refuse up front an enumeration of more than 2^budget records. Weights and diagrams
-    number count_delta(n, N); tables, chains and patterns of shape nu (f_map of the table
-    shape) are equinumerous, count_sssyt(nu)."""
-    crystal._check_count(count, _budget_bits(args))
 
 
 def _nu(args):
@@ -139,7 +139,7 @@ def _decode(from_json, data, **kwargs):
 def _charge_pattern(big_n, budget_bits):
     """Refuse up front the pattern of a length-N chain past the node limit: its rows at
     ranks N down to 3 hold k // 2 entries each, N^2 // 4 - 1 in all."""
-    crystal._check_count(big_n * big_n // 4 - 1, budget_bits)
+    crystal.charge(big_n * big_n // 4 - 1, budget_bits)
 
 
 def _read(args, kind, data):
@@ -152,7 +152,7 @@ def _read(args, kind, data):
             raise ValidationError(f"--n {args.n} does not match the chain's n {chain.shape.n}")
     else:  # gtp
         pattern, nu = _decode(youngt.GTPattern.from_json, data), _nu(args)
-        _charge_pattern(args.N, _budget_bits(args))
+        _charge_pattern(args.N, args.budget_bits)
         chain = youngt.j_inverse(pattern, nu)
     return youngt.y_inverse(chain)
 
@@ -162,7 +162,7 @@ def _as(args, kind, table):
     if kind == "table":
         return table
     if kind == "gtp":
-        _charge_pattern(table.length, _budget_bits(args))
+        _charge_pattern(table.length, args.budget_bits)
     chain = youngt.y_map(table)
     return chain if kind == "sssyt" else youngt.j_map(chain)
 
@@ -188,7 +188,7 @@ def cmd_convert(args):
 def cmd_act(args):
     table = _read(args, "table", _load_payload(args))
     gens = cactus.parse_cactus_word(args.word)
-    budget = _budget_bits(args)
+    budget = args.budget_bits
     cache = cactus.XiCache(crystal.SpinCrystal(table.height, budget), budget)
     moved = cactus.act_on_table(cache, gens, table)
     record = _as(args, args.as_kind or "table", moved).to_json()
@@ -238,10 +238,9 @@ VERIFY_OPTIONS = {
 
 
 def cmd_verify(args):
-    budget = _budget_bits(args)
     kwargs = {}
     for option, (param, convert) in VERIFY_OPTIONS[args.kind].items():
-        value = budget if option == "budget_bits" else getattr(args, option)
+        value = getattr(args, option)
         if value is not None:
             kwargs[param] = convert(value)
     report = suites.SUITES[args.kind](**kwargs)
@@ -260,7 +259,7 @@ def _payload_table(args):
 
 
 def cmd_export(args):
-    budget = _budget_bits(args)
+    budget = args.budget_bits
     if args.kind == "crystal-graph":
         _power(args.N)
         spin = crystal.SpinCrystal(args.n, budget)
@@ -401,6 +400,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         _check_options(args)
+        args.budget_bits = _resolve_budget(args.budget_bits)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

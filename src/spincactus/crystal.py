@@ -40,9 +40,10 @@ highest-weight word is the one forced into a dominant spinor weight, so the
 branching sequence of the component is the reversed factor sequence.
 
 Each crystal holds one budget: every scan of it is bounded by 2^budget_bits nodes.
-`node_limit` is the one check of budget_bits, and `closure` the one bounded depth-first
-walk. The crystal's own tables hold 2^n entries per index, so it charges n bits before
-it builds them.
+`node_limit` is the one check of budget_bits, `charge` the one refusal of a count past it,
+and `closure` the one bounded depth-first walk. A scan of the N-th power charges its
+`word_count` (2^n)^N; the crystal's own tables hold 2^n entries per index, the words of
+power 1, so it charges them before it builds them.
 """
 
 from __future__ import annotations
@@ -76,16 +77,18 @@ def node_limit(budget_bits):
     return 1 << budget_bits
 
 
-def _check_budget(needed_bits, budget_bits):
-    """Refuse up front a scan of about 2^needed_bits nodes that exceeds the limit."""
-    node_limit(budget_bits)
-    if needed_bits > budget_bits:
-        raise BudgetExceededError(needed_bits, budget_bits)
+def charge(count, budget_bits):
+    """Refuse up front a scan of count nodes past node_limit(budget_bits); the refusal
+    reports the bits 2^needed_bits >= count needs."""
+    if count > node_limit(budget_bits):
+        raise BudgetExceededError(max(count - 1, 0).bit_length(), budget_bits)
 
 
-def _check_count(count, budget_bits):
-    """Refuse up front a scan of count nodes that exceeds the limit."""
-    _check_budget(max(count - 1, 0).bit_length(), budget_bits)
+def word_count(n, big_n):
+    """(2^n)^N, the words of the N-th tensor power of rank n, 1 at N <= 0. A count past
+    2^65536 is given as 2^65536, far past any budget, so an absurd n or N is refused at
+    once instead of after building an n*N-bit number."""
+    return 1 << max(0, min(n * big_n, 1 << 16))
 
 
 def closure(start, successors, budget_bits):
@@ -98,7 +101,7 @@ def closure(start, successors, budget_bits):
         for nxt in successors(stack.pop()):
             if nxt is not None and nxt not in seen:
                 if len(seen) >= limit:
-                    raise BudgetExceededError(budget_bits + 1, budget_bits)
+                    charge(limit + 1, budget_bits)
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
@@ -120,7 +123,7 @@ class SpinCrystal:
     def __init__(self, n, budget_bits=DEFAULT_BUDGET_BITS):
         if n < 2:
             raise ValidationError(f"rank must be at least 2, got {n}")
-        _check_budget(n, budget_bits)  # the tables below hold 2^n entries per index
+        charge(word_count(n, 1), budget_bits)  # the tables below hold 2^n entries per index
         self.n = n
         self.budget_bits = budget_bits
         self._limit = 1 << budget_bits
@@ -363,7 +366,7 @@ class SpinCrystal:
 
         Power 0 has the empty word; for N >= 1 every word u of length h = N // 2, or 1 at
         N = 1, is paired with the stored tops of power N - h (`_tops_ending`)."""
-        _check_budget(self.n * big_n, self.budget_bits)
+        charge(word_count(self.n, big_n), self.budget_bits)
         tops = self._tops.get(big_n)
         if tops is None:
             h = big_n // 2 or 1
@@ -422,7 +425,7 @@ class SpinCrystal:
         each member paired with the tops of power 1 (`_tops_ending`)."""
         if not self.is_highest_weight(hw_word):
             raise ValidationError("word is not highest weight")
-        _check_budget(self.n * (len(hw_word) + 1), self.budget_bits)
+        charge(word_count(self.n, len(hw_word) + 1), self.budget_bits)
         _, members = self.component_members(hw_word)
         found = [self.word_weight(w) for w in self._tops_ending(members, 1)]
         found.sort(key=lambda wt: wt.coords2, reverse=True)
@@ -439,7 +442,7 @@ def word_label(crystal, w):
 def crystal_dot(crystal, big_n, words=None):
     """DOT digraph of the full tensor power, or of the given word set."""
     if words is None:
-        _check_budget(crystal.n * big_n, crystal.budget_bits)
+        charge(word_count(crystal.n, big_n), crystal.budget_bits)
         words = list(crystal.all_words(big_n))
     words = sorted(words)
     lines = ["digraph crystal {"]

@@ -28,8 +28,7 @@ from .clifford import (
     kappa_sigma,
     wedge_insert,
 )
-from .crystal import (DEFAULT_BUDGET_BITS, SpinCrystal, _check_budget, _check_count, closure,
-                      node_limit)
+from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal, charge, closure, node_limit, word_count
 from .errors import ValidationError
 from .weights import Weight, is_dominant_d, spinor_weights, w0_image
 from .youngt import (
@@ -62,14 +61,14 @@ def _charge_running(steps, budget_bits):
         total += step
         if total > limit:
             break
-    _check_count(total, budget_bits)
+    charge(total, budget_bits)
 
 
 def _charge_top_vectors(n_values, big_ns, cost, budget_bits):
     """Refuse up front a top-vector suite past the node limit: each weight of Δ(n, N) has
     one top vector, charged cost(n, N) nodes."""
-    _check_count(sum(count_delta(n, big_n) * cost(n, big_n) for n in n_values for big_n in big_ns),
-                 budget_bits)
+    charge(sum(count_delta(n, big_n) * cost(n, big_n) for n in n_values for big_n in big_ns),
+           budget_bits)
 
 
 def _raising_count(n, big_n):
@@ -208,7 +207,7 @@ def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGE
     power into a table of doubled coordinates, one entry per word (at most 2^budget_bits,
     charged up front), which the weight-shift checks read at the e/f-neighbour."""
     # the largest whole-crystal scan: N factors at the largest rank
-    _check_budget(max(n_values) * big_n_max, budget_bits)
+    charge(word_count(max(n_values), big_n_max), budget_bits)
     checks = []
     for n in n_values:
         crystal = SpinCrystal(n, budget_bits)
@@ -303,7 +302,8 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
     xi of each word is computed once per power into a table, one entry per word (at most
     2^budget_bits, charged up front), and the involution reads each image's image there."""
     # the largest whole-crystal scan: N factors (at least two) per rank, three at n=2
-    _check_budget(max([6] + [n * max(big_n_max, 2) for n in n_values]), budget_bits)
+    charge(max([word_count(2, 3)] + [word_count(n, max(big_n_max, 2)) for n in n_values]),
+           budget_bits)
     checks = []
     for n in n_values:
         crystal = SpinCrystal(n, budget_bits)
@@ -345,11 +345,11 @@ def _generator_permutations(n, big_n, budget_bits):
     crystal = SpinCrystal(n, budget_bits)
     cache = XiCache(crystal, budget_bits)
     # every shape has a table: refuse past the limit before listing generators or shapes
-    _check_count(big_n * (big_n - 1) // 2 * count_delta(n, big_n), budget_bits)
+    charge(big_n * (big_n - 1) // 2 * count_delta(n, big_n), budget_bits)
     gens = [(p, q) for p in range(1, big_n + 1) for q in range(p + 1, big_n + 1)]
     shapes = [enumerate_tables(diagram_of_weight(lam, big_n)) for lam in enumerate_delta(n, big_n)]
     # one action per (generator, table): refuse up front a total past the node limit
-    _check_count(len(gens) * sum(map(len, shapes)), budget_bits)
+    charge(len(gens) * sum(map(len, shapes)), budget_bits)
     perms = []
     for tables in shapes:
         index = {t: k for k, t in enumerate(tables)}
@@ -379,26 +379,17 @@ def suite_cactus_relations(n=2, big_n=4, budget_bits=DEFAULT_BUDGET_BITS):
     def compose(outer, inner):
         return [outer[j] for j in inner]
 
-    disjoint_ok = True
-    nested_ok = True
-    for by_gen in perms:
-        for pq in gens:
-            for kl in gens:
-                p, q = pq
-                k, l = kl
-                if q < k:
-                    if compose(by_gen[pq], by_gen[kl]) != compose(by_gen[kl], by_gen[pq]):
-                        disjoint_ok = False
-                if p <= k and l <= q:
-                    m, nn = p + q - l, p + q - k
-                    lhs = compose(by_gen[pq], by_gen[kl])
-                    rhs = compose(by_gen[(m, nn)], by_gen[pq])
-                    if lhs != rhs:
-                        nested_ok = False
-                    if word_to_permutation([pq, kl], big_n) != word_to_permutation(
-                        [(m, nn), pq], big_n
-                    ):
-                        nested_ok = False
+    disjoint = [(pq, kl) for pq in gens for kl in gens if pq[1] < kl[0]]
+    # s(p,q) s(k,l) = s(p+q-l, p+q-k) s(p,q) for p <= k < l <= q; its symmetric-group image
+    # does not depend on the shape, so it is checked once per pair
+    nested = [(pq, kl, (pq[0] + pq[1] - kl[1], pq[0] + pq[1] - kl[0]))
+              for pq in gens for kl in gens if pq[0] <= kl[0] and kl[1] <= pq[1]]
+    disjoint_ok = all(compose(by_gen[pq], by_gen[kl]) == compose(by_gen[kl], by_gen[pq])
+                      for by_gen in perms for pq, kl in disjoint)
+    nested_ok = all(word_to_permutation([pq, kl], big_n) == word_to_permutation([mn, pq], big_n)
+                    for pq, kl, mn in nested) and all(
+        compose(by_gen[pq], by_gen[kl]) == compose(by_gen[mn], by_gen[pq])
+        for by_gen in perms for pq, kl, mn in nested)
     _check(checks, "disjoint generators commute", disjoint_ok)
     _check(checks, "nested relation holds", nested_ok)
     return _report("cactus-relations", {"n": n, "N": big_n}, checks)
@@ -737,7 +728,7 @@ def suite_bijections(chain_n_max=3, chain_big_ns=(3, 4), budget_bits=DEFAULT_BUD
     largest (n, N) is charged at one table per shape before its shapes are listed."""
     if chain_n_max >= 2 and chain_big_ns:
         longest = max(chain_big_ns)
-        _check_count(count_delta(chain_n_max, longest) * chain_n_max * longest, budget_bits)
+        charge(count_delta(chain_n_max, longest) * chain_n_max * longest, budget_bits)
         _charge_running((count_sssyt(f_map(diagram_of_weight(lam, big_n))) * n * big_n
                          for n in range(chain_n_max, 1, -1)
                          for big_n in sorted(chain_big_ns, reverse=True)

@@ -6,14 +6,17 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import types
 
 import pytest
 
-from spincactus import cli, suites
+from spincactus import cli, suites, youngt
+from spincactus.celldiag import CellTable
 from spincactus.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, VERIFY_OPTIONS, build_parser
 from spincactus.cli import OPTIONS, READS, main
 from spincactus.crystal import DEFAULT_BUDGET_BITS
+from spincactus.errors import BudgetExceededError
 
 
 def run(capsys, *argv):
@@ -867,6 +870,67 @@ def test_convert_charges_a_pattern_against_its_budget(capsys, monkeypatch, bits,
     assert run(capsys, *argv, "--budget-bits", bits)[0] == status
     monkeypatch.setenv("CACTUS_BUDGET_BITS", bits)
     assert run(capsys, *argv)[0] == status
+
+
+# the worked table as each kind's record, and the options a gtp record needs
+WORKED = youngt.y_map(CellTable.from_json(json.loads(WORKED_TABLE)))
+RECORDS = {"table": WORKED_TABLE, "sssyt": json.dumps(WORKED.to_json()),
+           "gtp": json.dumps(youngt.j_map(WORKED).to_json())}
+GTP_DIMS = ["--nu", "4,4,3,1", "--N", "7", "--n", "4"]
+
+
+def _row_argv(command, kind):
+    """A valid argv for one READS row; a convert row converts to its own kind."""
+    if (command, kind) in REQUIRING:
+        head, options = REQUIRING[command, kind]
+        return head + [x for item in options.items() for x in item]
+    if command == "convert":
+        return ["convert", kind, kind, "--payload", RECORDS[kind]] + GTP_DIMS * (kind == "gtp")
+    if command == "export":
+        return ["export", kind, "--payload", TWO_BY_TWO]
+    return [command, kind]
+
+
+EVERY_BUDGETED_ARGV = [_row_argv(command, kind) for command, kinds in READS.items()
+                       for kind in kinds] + [
+    ["convert", kind, target, "--payload", RECORDS[kind], "--check"]
+    + GTP_DIMS * ("gtp" in (kind, target))
+    for kind in READS["convert"] for target in READS["convert"]]
+
+
+def _argv_id(argv):
+    return "-".join([x for x in argv[:3] if not x.startswith(("-", "{"))]
+                    + ["check"] * ("--check" in argv))
+
+
+@pytest.mark.parametrize("argv", EVERY_BUDGETED_ARGV, ids=_argv_id)
+def test_every_command_refuses_an_unusable_budget(capsys, monkeypatch, argv):
+    # the budget is resolved before any command runs, whether or not the command charges it
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.SUITES, name, lambda **kwargs: {"pass": True})
+    assert run(capsys, *argv, "--budget-bits", "20")[0] == EXIT_OK
+    for bits in ("-1", "25"):
+        assert run(capsys, *argv, "--budget-bits", bits) == (
+            EXIT_USAGE, "", f"error: budget_bits must be in 0..24, got {bits}\n")
+    monkeypatch.setenv("CACTUS_BUDGET_BITS", "abc")
+    assert run(capsys, *argv) == (
+        EXIT_USAGE, "", "error: CACTUS_BUDGET_BITS must be an integer, got 'abc'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "crystal-graph", "--n", "2", "--N", "10000000000"],
+    ["export", "crystal-graph", "--n", "10000000000", "--N", "1"],
+    ["verify", "crystal-axioms", "--N", "10000000000"],
+    ["verify", "commutor", "--N", "10000000000"],
+    ["verify", "cactus-relations", "--n", "10000000000"],
+])
+def test_an_absurd_power_or_rank_is_refused_at_once(capsys, monkeypatch, argv):
+    # a word count of n*N bits would be gigabytes: the charge stops at 2^65536 words
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (EXIT_BUDGET, "", f"error: {BudgetExceededError(65536, 20)}\n")
+    assert time.perf_counter() - start < 1
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from spincactus.celldiag import diagram_of_weight, enumerate_delta, enumerate_tables, table_from_steps
-from spincactus.crystal import Component, SpinCrystal, census_json, closure, crystal_dot
+from spincactus.crystal import (Component, SpinCrystal, census_json, charge, closure, crystal_dot,
+                                word_count)
 from spincactus.errors import BudgetExceededError, ValidationError
 from spincactus.suites import (
     predicted_tensor_weights,
@@ -174,10 +175,37 @@ def test_string_walk_records_the_single_move_path(n, big_n_max):
 
 def test_negative_tensor_power_is_refused():
     c = SpinCrystal(2)
-    for scan in (c.components, c.hw_census, c.all_words):
+    for scan in (c.components, c.hw_census, c.all_words, c.highest_weight_words,
+                 partial(crystal_dot, c)):
         with pytest.raises(ValidationError, match="tensor power N must be at least 0, got -1"):
             scan(-1)
     assert list(c.all_words(0)) == [()]
+
+
+@pytest.mark.parametrize("bits", range(25))
+def test_charge_refuses_exactly_the_counts_past_the_node_limit(bits):
+    for count in (2**bits - 1, 2**bits):
+        charge(count, bits)
+    with pytest.raises(BudgetExceededError) as info:
+        charge(2**bits + 1, bits)
+    assert (info.value.needed_bits, info.value.budget_bits) == (bits + 1, bits)
+    for k in range(65):
+        if k <= bits:
+            charge(1 << k, bits)
+            continue
+        with pytest.raises(BudgetExceededError) as info:
+            charge(1 << k, bits)
+        assert (info.value.needed_bits, info.value.budget_bits) == (k, bits)
+        assert str(info.value) == (f"scan needs about 2^{k} nodes, budget is 2^{bits} "
+                                   "(raise the budget explicitly to proceed)")
+
+
+def test_word_count_stays_small_past_any_budget():
+    assert [word_count(3, big_n) for big_n in (-1, 0, 1, 2)] == [1, 1, 8, 64]
+    assert word_count(2, 1 << 15) == 1 << 65536 == word_count(10**9, 10**9)
+    with pytest.raises(BudgetExceededError) as info:
+        crystal_dot(SpinCrystal(2), 10**10)
+    assert info.value.needed_bits == 65536
 
 
 def test_tensor_index_is_checked():
