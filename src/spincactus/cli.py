@@ -8,10 +8,16 @@ Weights on the command line are comma-separated DOUBLED coordinates:
 kind, the convert source, the export target or the verify suite; ``act`` has one
 row. Each row names the options the kind reads, those it requires, and the
 formats it writes, default first; under ``--check``, ``convert`` also reads its
-target's row. ``build_parser(command)`` names all five commands but declares the
-positionals and options of ``command`` alone, as the union of its rows; with no
-command it declares every command's. ``main`` names the command from its argv,
-and ``_check_options`` refuses an option the row does not read, requires the
+target's row. A command declares the union of its rows' options.
+
+``build_parser()`` declares all five commands. ``build_parser(command)`` declares
+that one command alone, under the full parser's usage line, so its help, usage
+lines and errors are the full parser's. ``main`` builds the one-command parser
+when its argv starts with a command, and the full parser for any other argv: a
+help flag or other option first, an unknown command or none. Nothing is kept
+between calls.
+
+``_check_options`` refuses an option the row does not read, requires the
 required ones and resolves ``--format`` before the command runs. ``main`` then
 resolves the node budget once, for every command: ``--budget-bits``, else
 ``CACTUS_BUDGET_BITS``, else ``crystal.DEFAULT_BUDGET_BITS``, an unusable value
@@ -214,11 +220,12 @@ _rank, _power, _chain_length = _at_least("--n", 2), _at_least("--N", 1), _at_lea
 
 
 def _ranks(top):
-    return tuple(range(2, _rank(top) + 1))
+    return range(2, _rank(top) + 1)
 
 
 # option -> (suite parameter, conversion; int keeps the value) for each option a suite
-# reads; one not given keeps the suite's default
+# reads; one not given keeps the suite's default. A conversion to a range is charged as
+# its length before the suite gets it as a tuple
 _N_VALUES, _BIG_N_MAX = ("n_values", _ranks), ("big_n_max", _power)
 _BUDGET_BITS = ("budget_bits", int)
 VERIFY_OPTIONS = {
@@ -232,7 +239,7 @@ VERIFY_OPTIONS = {
     "thm52": {"n": _N_VALUES, "N": _BIG_N_MAX, "seed": ("seed", int), "budget_bits": _BUDGET_BITS},
     "thm51-signs": {"n": _N_VALUES, "budget_bits": _BUDGET_BITS},
     "bijections": {"n": ("chain_n_max", _rank),
-                   "N": ("chain_big_ns", lambda top: tuple(range(3, _chain_length(top) + 1))),
+                   "N": ("chain_big_ns", lambda top: range(3, _chain_length(top) + 1)),
                    "budget_bits": _BUDGET_BITS},
 }
 
@@ -242,7 +249,11 @@ def cmd_verify(args):
     for option, (param, convert) in VERIFY_OPTIONS[args.kind].items():
         value = getattr(args, option)
         if value is not None:
-            kwargs[param] = convert(value)
+            value = convert(value)
+            if isinstance(value, range):
+                crystal.charge(len(value), args.budget_bits)
+                value = tuple(value)
+            kwargs[param] = value
     report = suites.SUITES[args.kind](**kwargs)
     print(_json(report))
     return EXIT_OK if report["pass"] else EXIT_FAIL
@@ -353,18 +364,20 @@ def _check_options(args):
 
 
 def build_parser(command=None):
-    """The CLI parser. Every command is named, with its help text; only ``command``'s
-    positionals and options are declared, every command's when it is None, and none when
-    it names no command."""
+    """The CLI parser, in one of two modes. With no command it declares all five commands,
+    each with its positionals and options. With a command it declares that one alone, under
+    the full parser's usage line and with the same prog, so what it prints for that command's
+    argv is what the full parser prints."""
     parser = argparse.ArgumentParser(
         prog="spincactus",
+        usage=None if command is None else f"%(prog)s [-h] {{{','.join(READS)}}} ...",
         description=(
             "Enumerate and convert the indexing sets of spinor tensor powers, "
             "act by the cactus group, and run the verification suites. "
             "Weights are comma-separated DOUBLED coordinates."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, func, text in (
         ("enumerate", cmd_enumerate, "enumerate delta/diagrams/tables/sssyt/gtp"),
         ("convert", cmd_convert, "convert between table/sssyt/gtp records"),
@@ -372,10 +385,10 @@ def build_parser(command=None):
         ("verify", cmd_verify, "run a verification suite"),
         ("export", cmd_export, "export crystal graph, component, or orbit"),
     ):
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func, kind="")  # act's one row has no positional kind
         if command not in (None, name):
             continue
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func, kind="")  # act's one row has no positional kind
         rows = READS[name]
         if name != "act":
             p.add_argument("kind", choices=tuple(rows))
@@ -391,9 +404,9 @@ def build_parser(command=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # the top-level parser has no option of its own, so the first bare token names the
-    # command; with none, or an unknown one, parsing fails before any command's options
-    parser = build_parser(next((token for token in argv if not token.startswith("-")), ""))
+    # argv that does not start with a command (help, an option, an unknown or no command)
+    # gets the full parser, which alone prints the top-level help and names every command
+    parser = build_parser(argv[0] if argv and argv[0] in READS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,6 +9,7 @@ import sys
 import time
 import types
 
+import answers
 import pytest
 
 from spincactus import cli, suites, youngt
@@ -758,15 +759,13 @@ def _declared(sub):
 @pytest.mark.parametrize("command", list(READS))
 def test_a_named_command_declares_its_own_options_alone(command):
     full, named = build_parser(), build_parser(command)
-    assert named.format_help() == full.format_help()
-    full_subs, named_subs = _subparsers(full), _subparsers(named)
-    assert list(named_subs) == list(full_subs)
-    for name, sub in named_subs.items():
-        assert sub._defaults == full_subs[name]._defaults, name
-        if name == command:
-            assert _declared(sub) == _declared(full_subs[name])
-        else:
-            assert [a.option_strings for a in sub._actions] == [["-h", "--help"]], name
+    assert named.format_usage() == full.format_usage()
+    named_subs = _subparsers(named)
+    assert list(named_subs) == [command]
+    sub, full_sub = named_subs[command], _subparsers(full)[command]
+    assert sub._defaults == full_sub._defaults
+    assert _declared(sub) == _declared(full_sub)
+    assert sub.format_usage() == full_sub.format_usage()
 
 
 def _full_parser_exit(capsys, argv):
@@ -777,7 +776,7 @@ def _full_parser_exit(capsys, argv):
     return exc.value.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["-h", "act"]]
+@pytest.mark.parametrize("argv", [["--help"], ["-h", "act"], ["--he", "act"]]
                          + [[command, "--help"] for command in READS])
 def test_help_is_the_full_parsers(capsys, argv):
     code, out, err = _full_parser_exit(capsys, argv)
@@ -797,7 +796,9 @@ PARSE_ERRORS = [
     ["act", *WORD, "--lambda", "1"],  # options the command does not declare
     ["verify", "census", "--n", "2", "--out", "f"],
     ["convert", "table", "gtp", "--check", "--lambda", "1"],
-    ["act", *WORD, "stray"],
+    ["act", *WORD, "stray"],  # tokens the command leaves go back to the top level
+    ["act", *WORD, "--", "x"],
+    ["--foo", "act", *WORD],  # an option before the command
     ["act", *WORD, "--as", "bogus"],  # a bad choice
     ["enumerate", "delta", "--n", "x"],
     ["export", "orbit", "--word"],
@@ -814,10 +815,11 @@ def test_parse_errors_are_the_full_parsers(capsys, argv):
 @pytest.mark.parametrize("argv, command", [
     (["act", *WORD, "--payload", '{"steps2": [[1, 1]]}'], "act"),
     (["verify", "census", "--n", "2"], "verify"),
-    (["-h", "export"], "export"),
-    (["--n", "3", "act"], "3"),  # the top level reads no --n: parsing fails on "3"
-    (["bogus", "act"], "bogus"),
-    ([], ""),
+    # any argv that does not start with a command gets the full parser
+    (["-h", "export"], None),
+    (["--n", "3", "act"], None),
+    (["bogus", "act"], None),
+    ([], None),
 ])
 def test_main_builds_the_options_of_the_named_command(capsys, monkeypatch, argv, command):
     built = []
@@ -825,6 +827,13 @@ def test_main_builds_the_options_of_the_named_command(capsys, monkeypatch, argv,
     monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or real(name))
     run(capsys, *argv)
     assert built == [command]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in answers.COMMANDS if argv[0] != "demo"]
+                         + [["act", "--wor", "s(1,2)"], ["convert", "table", "gtp", "--ch"]],
+                         ids=answers.key)
+def test_a_named_parser_parses_as_the_full_parser(argv):
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 def test_main_reads_the_process_arguments(capsys, monkeypatch):
@@ -948,3 +957,24 @@ def test_module_entry_point_exit_status(argv, status):
     done = subprocess.run([sys.executable, "-m", "spincactus.cli", *argv], env=env,
                           capture_output=True, timeout=120)
     assert done.returncode == status, done.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify", suite, "--n", "100000000"] for suite in (
+    "census", "crystal-axioms", "commutor", "thm2", "thm52", "thm51-signs")]
+    + [["verify", "bijections", "--N", "100000000"]], ids=lambda argv: argv[1])
+def test_a_huge_span_of_ranks_is_refused_before_it_is_listed(argv):
+    # the tuple of 10^8 ranks alone is past a 1 GiB address space: listed before the
+    # charge, it ended in a MemoryError traceback with exit 1
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {key: value for key, value in os.environ.items() if key != "CACTUS_BUDGET_BITS"}
+    env["PYTHONPATH"] = str(SRC)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "spincactus.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (EXIT_BUDGET, "")
+    assert done.stderr.startswith("error: scan needs about 2^"), done.stderr

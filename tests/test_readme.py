@@ -1,3 +1,4 @@
+import json
 import pathlib
 import re
 import shlex
@@ -52,3 +53,11 @@ def test_option_table_matches_the_cli():
                   for kind, (reads, required, formats) in rows.items()}
         for command, rows in READS.items()
     }
+
+
+def test_answer_corpus_count_is_the_corpus_size():
+    text = " ".join(README.read_text().split())
+    stated = re.search(r"`tests/answers\.json` holds .*? of (\d+) commands", text)
+    assert stated is not None
+    corpus = json.loads((README.parent / "tests" / "answers.json").read_text())
+    assert int(stated.group(1)) == len(corpus)
