@@ -24,21 +24,21 @@ from __future__ import annotations
 import re
 
 from .celldiag import CellTable
-from .crystal import DEFAULT_BUDGET_BITS, SpinCrystal, closure, node_limit
+from .crystal import SpinCrystal, closure, node_limit
 from .errors import ValidationError
 
 
 class XiCache:
     """The involution and the cactus generators on the tensor words of one crystal.
 
-    xi_word keeps the bottom word of each top it has walked from, for at most
-    node_limit(budget_bits) tops; past that it walks down again.
+    xi_word keeps the bottom word of each top it has walked from, for at most 2^budget_bits
+    tops (the crystal's budget by default); past that it walks down again.
     """
 
-    def __init__(self, crystal: SpinCrystal, budget_bits=DEFAULT_BUDGET_BITS):
+    def __init__(self, crystal: SpinCrystal, budget_bits=None):
         self.crystal = crystal
-        self.budget_bits = budget_bits
-        self._limit = node_limit(budget_bits)
+        self.budget_bits = crystal.budget_bits if budget_bits is None else budget_bits
+        self._limit = node_limit(self.budget_bits)
         self._bottoms = {}
 
     def xi_word(self, w):

@@ -10,12 +10,12 @@ row. Each row names the options the kind reads, those it requires, and the
 formats it writes, default first; under ``--check``, ``convert`` also reads its
 target's row. A command declares the union of its rows' options.
 
-``build_parser()`` declares all five commands. ``build_parser(command)`` declares
-that one command alone, under the full parser's usage line, so its help, usage
-lines and errors are the full parser's. ``main`` builds the one-command parser
-when its argv starts with a command, and the full parser for any other argv: a
-help flag or other option first, an unknown command or none. Nothing is kept
-between calls.
+``build_parser()`` declares all five commands through ``_declare``. When argv starts
+with a command and holds no ``--``, ``main`` parses the rest with that command's parser
+alone, built by the same ``_declare``, so its help is the subparser's. The full parser
+parses again any argv that parser refuses or leaves a token of, and any other argv (a
+help flag or other option first, an unknown command, none); it alone prints usage lines
+and errors, so they are byte-identical. Nothing is kept between calls.
 
 ``_check_options`` refuses an option the row does not read, requires the
 required ones and resolves ``--format`` before the command runs. ``main`` then
@@ -28,6 +28,7 @@ through ``crystal.charge``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -194,8 +195,7 @@ def cmd_convert(args):
 def cmd_act(args):
     table = _read(args, "table", _load_payload(args))
     gens = cactus.parse_cactus_word(args.word)
-    budget = args.budget_bits
-    cache = cactus.XiCache(crystal.SpinCrystal(table.height, budget), budget)
+    cache = cactus.XiCache(crystal.SpinCrystal(table.height, args.budget_bits))
     moved = cactus.act_on_table(cache, gens, table)
     record = _as(args, args.as_kind or "table", moved).to_json()
     payload = {
@@ -286,7 +286,7 @@ def cmd_export(args):
     else:  # orbit
         table = _payload_table(args)
         gens = cactus.parse_cactus_word(args.word or "")
-        cache = cactus.XiCache(crystal.SpinCrystal(table.height, budget), budget)
+        cache = cactus.XiCache(crystal.SpinCrystal(table.height, budget))
         tables = cactus.orbit(cache, table, gens)
         out = _json({"schema": SCHEMA, "orbit": [t.to_json() for t in tables]})
     if args.out:
@@ -363,52 +363,67 @@ def _check_options(args):
                               f"choose from {', '.join(formats)}")
 
 
-def build_parser(command=None):
-    """The CLI parser, in one of two modes. With no command it declares all five commands,
-    each with its positionals and options. With a command it declares that one alone, under
-    the full parser's usage line and with the same prog, so what it prints for that command's
-    argv is what the full parser prints."""
-    parser = argparse.ArgumentParser(
-        prog="spincactus",
-        usage=None if command is None else f"%(prog)s [-h] {{{','.join(READS)}}} ...",
-        description=(
-            "Enumerate and convert the indexing sets of spinor tensor powers, "
-            "act by the cactus group, and run the verification suites. "
-            "Weights are comma-separated DOUBLED coordinates."
-        ),
-    )
+# command -> (function, help line), in the full parser's order
+_COMMANDS = {
+    "enumerate": (cmd_enumerate, "enumerate delta/diagrams/tables/sssyt/gtp"),
+    "convert": (cmd_convert, "convert between table/sssyt/gtp records"),
+    "act": (cmd_act, "apply a cactus word to a table"),
+    "verify": (cmd_verify, "run a verification suite"),
+    "export": (cmd_export, "export crystal graph, component, or orbit"),
+}
+
+
+def _declare(p, name):
+    """Declare one command's defaults, positionals and options on p."""
+    p.set_defaults(command=name, func=_COMMANDS[name][0], kind="")  # act's one row has no kind
+    rows = READS[name]
+    if name != "act":
+        p.add_argument("kind", choices=tuple(rows))
+    if name == "convert":
+        p.add_argument("target", choices=tuple(rows))
+    declared = {option for reads, _, _ in rows.values() for option in reads}
+    for option, (flag, kwargs) in OPTIONS.items():
+        if option in declared:
+            p.add_argument(flag, dest=option, default=None, **kwargs)
+    p.add_argument("--format", default=None, help="json, table or dot, as the kind allows")
+
+
+def build_parser():
+    """The CLI parser: all five commands, each with its positionals and options."""
+    parser = argparse.ArgumentParser(prog="spincactus", description=(
+        "Enumerate and convert the indexing sets of spinor tensor powers, act by the cactus "
+        "group, and run the verification suites. Weights are comma-separated DOUBLED coordinates."))
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    for name, func, text in (
-        ("enumerate", cmd_enumerate, "enumerate delta/diagrams/tables/sssyt/gtp"),
-        ("convert", cmd_convert, "convert between table/sssyt/gtp records"),
-        ("act", cmd_act, "apply a cactus word to a table"),
-        ("verify", cmd_verify, "run a verification suite"),
-        ("export", cmd_export, "export crystal graph, component, or orbit"),
-    ):
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func, kind="")  # act's one row has no positional kind
-        rows = READS[name]
-        if name != "act":
-            p.add_argument("kind", choices=tuple(rows))
-        if name == "convert":
-            p.add_argument("target", choices=tuple(rows))
-        declared = {option for reads, _, _ in rows.values() for option in reads}
-        for option, (flag, kwargs) in OPTIONS.items():
-            if option in declared:
-                p.add_argument(flag, dest=option, default=None, **kwargs)
-        p.add_argument("--format", default=None, help="json, table or dot, as the kind allows")
+    for name, (_, text) in _COMMANDS.items():
+        _declare(sub.add_parser(name, help=text), name)
     return parser
+
+
+class _Refused(Exception):
+    """A command parser's error: the full parser parses the argv again and reports it."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser alone, declared as the full parser's subparser for it; its
+    error raises _Refused instead of printing."""
+
+    def __init__(self, name):
+        super().__init__(prog=f"spincactus {name}")
+        _declare(self, name)
+
+    def error(self, message):
+        raise _Refused(message)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # argv that does not start with a command (help, an option, an unknown or no command)
-    # gets the full parser, which alone prints the top-level help and names every command
-    parser = build_parser(argv[0] if argv and argv[0] in READS else None)
     try:
-        args = parser.parse_args(argv)
+        left = True  # the full parser parses argv unless the command parser takes all of it
+        if argv and argv[0] in READS and "--" not in argv:
+            with contextlib.suppress(_Refused):
+                args, left = _CommandParser(argv[0]).parse_known_args(argv[1:])
+        if left:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -161,7 +161,7 @@ class XiTableReference(XiCache):
     with the commutor built on the table xi.
     """
 
-    def __init__(self, crystal, budget_bits=DEFAULT_BUDGET_BITS):
+    def __init__(self, crystal, budget_bits=None):
         super().__init__(crystal, budget_bits)
         self._tables = {}
 
@@ -307,7 +307,7 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
     checks = []
     for n in n_values:
         crystal = SpinCrystal(n, budget_bits)
-        cache = XiCache(crystal, budget_bits)
+        cache = XiCache(crystal)
         for big_n in range(1, big_n_max + 1):
             images = {w: cache.xi_word(w) for w in crystal.all_words(big_n)}
             bad = 0
@@ -325,7 +325,7 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
         )
         _check(checks, f"commutor involutive on two factors n={n}", bad == 0)
     crystal = SpinCrystal(2, budget_bits)
-    cache = XiCache(crystal, budget_bits)
+    cache = XiCache(crystal)
     bad = 0
     for w in crystal.all_words(3):
         path1 = cache.commutor(cache.sigma_pqr(w, 2, 3, 2), 1)
@@ -342,8 +342,7 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
 def _generator_permutations(n, big_n, budget_bits):
     """Each generator's action on each shape's tables, as the list of the image's index
     in that shape's enumerate_tables list: one act_on_table per (generator, table)."""
-    crystal = SpinCrystal(n, budget_bits)
-    cache = XiCache(crystal, budget_bits)
+    cache = XiCache(SpinCrystal(n, budget_bits))
     # every shape has a table: refuse past the limit before listing generators or shapes
     charge(big_n * (big_n - 1) // 2 * count_delta(n, big_n), budget_bits)
     gens = [(p, q) for p in range(1, big_n + 1) for q in range(p + 1, big_n + 1)]

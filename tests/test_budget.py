@@ -12,7 +12,7 @@ from spincactus import crystal as crystal_module
 from spincactus import youngt
 from spincactus.cactus import XiCache, orbit, parse_cactus_word
 from spincactus.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
-from spincactus.celldiag import diagram_of_weight, enumerate_delta, enumerate_tables
+from spincactus.celldiag import CellTable, diagram_of_weight, enumerate_delta, enumerate_tables
 from spincactus.clifford import ExteriorAlgebra
 from spincactus.crystal import (DEFAULT_BUDGET_BITS, SpinCrystal, census_json, closure,
                                 crystal_dot, node_limit)
@@ -55,6 +55,18 @@ def test_node_limit():
     for bits in (2.5, True, "3"):
         with pytest.raises(ValidationError, match="expected an integer"):
             node_limit(bits)
+
+
+@pytest.mark.parametrize("cache", [XiCache, XiTableReference])
+def test_a_cache_reads_its_crystals_budget(cache):
+    small = SpinCrystal(3, 5)
+    assert (cache(small).budget_bits, cache(small)._limit) == (5, 32)
+    assert cache(small, 7).budget_bits == 7  # a budget given still wins
+    assert cache(SpinCrystal(3)).budget_bits == DEFAULT_BUDGET_BITS
+    six = CellTable.from_json({"steps2": [[1, 1], [1, 1], [1, -1], [1, -1]]})  # orbit of 6
+    assert len(orbit(cache(SpinCrystal(2, 3)), six, GENS)) == 6
+    with pytest.raises(BudgetExceededError):  # orbit's closure reads the crystal's budget
+        orbit(cache(SpinCrystal(2, 2)), six, GENS)
 
 
 def smallest_bits(m):

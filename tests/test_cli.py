@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -757,15 +758,17 @@ def _declared(sub):
 
 
 @pytest.mark.parametrize("command", list(READS))
-def test_a_named_command_declares_its_own_options_alone(command):
-    full, named = build_parser(), build_parser(command)
-    assert named.format_usage() == full.format_usage()
-    named_subs = _subparsers(named)
-    assert list(named_subs) == [command]
-    sub, full_sub = named_subs[command], _subparsers(full)[command]
-    assert sub._defaults == full_sub._defaults
-    assert _declared(sub) == _declared(full_sub)
-    assert sub.format_usage() == full_sub.format_usage()
+def test_a_named_command_declares_its_own_options_alone(capsys, command):
+    parser, full_sub = cli._CommandParser(command), _subparsers(build_parser())[command]
+    assert parser.prog == full_sub.prog == f"spincactus {command}"
+    assert parser._defaults == full_sub._defaults
+    assert parser._defaults["command"] == command
+    assert _declared(parser) == _declared(full_sub)
+    assert parser.format_usage() == full_sub.format_usage()
+    assert parser.format_help() == full_sub.format_help()
+    with pytest.raises(cli._Refused):  # an error is raised for the full parser to report
+        parser.parse_known_args(["--budget-bits", "x"])
+    assert capsys.readouterr() == ("", "")
 
 
 def _full_parser_exit(capsys, argv):
@@ -776,15 +779,18 @@ def _full_parser_exit(capsys, argv):
     return exc.value.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["-h", "act"], ["--he", "act"]]
-                         + [[command, "--help"] for command in READS])
+WORD = ("--word", "s(1,2)")
+HELP = ([["--help"], ["-h", "act"], ["--he", "act"], ["act", "--he"], ["act", *WORD, "-h"]]
+        + [[command, "--help"] for command in READS])
+
+
+@pytest.mark.parametrize("argv", HELP)
 def test_help_is_the_full_parsers(capsys, argv):
     code, out, err = _full_parser_exit(capsys, argv)
     assert (code, err) == (0, "") and out.startswith("usage: spincactus")
     assert run(capsys, *argv) == (EXIT_OK, out, "")
 
 
-WORD = ("--word", "s(1,2)")
 PARSE_ERRORS = [
     [],  # no command
     ["bogus"],
@@ -798,6 +804,8 @@ PARSE_ERRORS = [
     ["convert", "table", "gtp", "--check", "--lambda", "1"],
     ["act", *WORD, "stray"],  # tokens the command leaves go back to the top level
     ["act", *WORD, "--", "x"],
+    ["act", "--", *WORD],
+    ["act", *WORD, "--as"],  # an option without its value
     ["--foo", "act", *WORD],  # an option before the command
     ["act", *WORD, "--as", "bogus"],  # a bad choice
     ["enumerate", "delta", "--n", "x"],
@@ -812,28 +820,62 @@ def test_parse_errors_are_the_full_parsers(capsys, argv):
     assert run(capsys, *argv) == (EXIT_USAGE, out, err)
 
 
-@pytest.mark.parametrize("argv, command", [
-    (["act", *WORD, "--payload", '{"steps2": [[1, 1]]}'], "act"),
-    (["verify", "census", "--n", "2"], "verify"),
-    # any argv that does not start with a command gets the full parser
-    (["-h", "export"], None),
-    (["--n", "3", "act"], None),
-    (["bogus", "act"], None),
-    ([], None),
+FULL = ["full", *READS]  # build_parser(), declaring every command
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["act", *WORD, "--payload", '{"steps2": [[1, 1]]}'], ["act"]),
+    (["act", "--wor", "s(1,2)", "--payload", '{"steps2": [[1, 1]]}'], ["act"]),
+    (["verify", "census", "--n", "2"], ["verify"]),
+    (["act", "--help"], ["act"]),
+    # argv the command parser refuses, or leaves a token of, is parsed again in full
+    (["act", *WORD, "stray"], ["act", *FULL]),
+    (["act", *WORD, "--as", "bogus"], ["act", *FULL]),
+    (["enumerate"], ["enumerate", *FULL]),
+    # argv holding "--", or not starting with a command, gets the full parser alone
+    (["act", "--", *WORD], FULL),
+    (["-h", "export"], FULL),
+    (["--n", "3", "act"], FULL),
+    (["bogus", "act"], FULL),
+    ([], FULL),
 ])
-def test_main_builds_the_options_of_the_named_command(capsys, monkeypatch, argv, command):
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or real(name))
+def test_main_builds_the_options_of_the_named_command(capsys, monkeypatch, argv, built):
+    events, declare, full = [], cli._declare, cli.build_parser
+    monkeypatch.setattr(cli, "_declare", lambda p, name: events.append(name) or declare(p, name))
+    monkeypatch.setattr(cli, "build_parser", lambda: events.append("full") or full())
     run(capsys, *argv)
-    assert built == [command]
+    assert events == built
 
 
-@pytest.mark.parametrize("argv", [argv for argv in answers.COMMANDS if argv[0] != "demo"]
-                         + [["act", "--wor", "s(1,2)"], ["convert", "table", "gtp", "--ch"]],
-                         ids=answers.key)
+CLI_ROWS = [argv for argv in answers.COMMANDS if argv[0] != "demo"]
+ABBREVIATED = [["act", "--wor", "s(1,2)"], ["convert", "table", "gtp", "--ch"]]
+
+
+@pytest.mark.parametrize("argv", CLI_ROWS + ABBREVIATED, ids=answers.key)
 def test_a_named_parser_parses_as_the_full_parser(argv):
-    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    args, left = cli._CommandParser(argv[0]).parse_known_args(argv[1:])
+    assert (vars(args), left) == (vars(build_parser().parse_args(argv)), [])
+
+
+class _RefusingParser:
+    """A command parser that refuses every argv: main takes the full parser's path."""
+
+    def __init__(self, name):
+        pass
+
+    def parse_known_args(self, argv):
+        raise cli._Refused("refused")
+
+
+@pytest.mark.parametrize("argv", CLI_ROWS + PARSE_ERRORS + HELP + [
+    ["act", "--wor", "s(1,3)", "--payload", '{"steps2": [[1, 1], [1, -1], [1, 1]]}'],
+], ids=lambda argv: shlex.join(["spincactus", *argv]))
+def test_main_answers_as_the_full_parser_path(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    answer = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_CommandParser", _RefusingParser)
+    assert run(capsys, *argv) == answer
 
 
 def test_main_reads_the_process_arguments(capsys, monkeypatch):
