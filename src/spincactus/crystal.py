@@ -31,8 +31,9 @@ i, one pairing (`_tops_ending`) for two scans. The tops of power N pair each u
 of length h with the tops of power N - h; the tops of a component tensored with
 one more factor pair each member with the tops of power 1. Each crystal stores
 the tops of a power once, so the census and the components share one scan. The
-literal two-factor recursion stays in `suites` as the oracle
-(`tensor_e_reference`, `tensor_f_reference`).
+two-factor recursion stays in `suites` (`tensor_e_reference`, `tensor_f_reference`):
+without a memo it is the literal recursion, the oracle; `suite_crystal_axioms` gives it
+one memo per crystal, holding each head's eps_i and moves once per (i, head).
 
 The bijection between highest-weight words and regular cell tables reads the
 factor weights right to left: under this tensor rule the last factor of a

@@ -109,14 +109,20 @@ def _root2(i, n):
 
 
 def tensor_f_reference(crystal, i, w, eps_memo=None):
-    """Literal two-factor recursion, eps/phi by repeated application; eps_memo, if
-    given, is a dict of eps_i by (i, word) that belongs to this crystal alone."""
+    """Literal two-factor recursion, eps/phi by repeated application. eps_memo, if given,
+    is a dict that belongs to this crystal alone: one entry per (i, head) for the heads
+    shorter than N that the calls read, holding the head's eps_i, f_i image and e_i image,
+    so a call reads its head's move instead of recursing down the word."""
     if len(w) == 1:
         moved = crystal.spin_f(i, w[0])
         return None if moved is None else (moved,)
     head, last = w[:-1], w[-1]
-    if _eps_reference(crystal, i, head, eps_memo) >= _phi1_reference(crystal, i, last):
-        moved = tensor_f_reference(crystal, i, head, eps_memo)
+    if eps_memo is None:
+        eps = _eps_reference(crystal, i, head)
+    else:
+        eps, head_f, _ = _head_reference(crystal, i, head, eps_memo)
+    if eps >= _phi1_reference(crystal, i, last):
+        moved = tensor_f_reference(crystal, i, head) if eps_memo is None else head_f
         return None if moved is None else moved + (last,)
     moved = crystal.spin_f(i, last)
     return None if moved is None else head + (moved,)
@@ -127,8 +133,12 @@ def tensor_e_reference(crystal, i, w, eps_memo=None):
         moved = crystal.spin_e(i, w[0])
         return None if moved is None else (moved,)
     head, last = w[:-1], w[-1]
-    if _eps_reference(crystal, i, head, eps_memo) > _phi1_reference(crystal, i, last):
-        moved = tensor_e_reference(crystal, i, head, eps_memo)
+    if eps_memo is None:
+        eps = _eps_reference(crystal, i, head)
+    else:
+        eps, _, head_e = _head_reference(crystal, i, head, eps_memo)
+    if eps > _phi1_reference(crystal, i, last):
+        moved = tensor_e_reference(crystal, i, head) if eps_memo is None else head_e
         return None if moved is None else moved + (last,)
     moved = crystal.spin_e(i, last)
     return None if moved is None else head + (moved,)
@@ -139,16 +149,23 @@ def _phi1_reference(crystal, i, b):
 
 
 def _eps_reference(crystal, i, w, memo=None):
-    if memo is not None and (i, w) in memo:
-        return memo[i, w]
     count = 0
     cur = tensor_e_reference(crystal, i, w, memo)
     while cur is not None:
         count += 1
         cur = tensor_e_reference(crystal, i, cur, memo)
-    if memo is not None:
-        memo[i, w] = count
     return count
+
+
+def _head_reference(crystal, i, head, memo):
+    """head's (eps_i, f_i image, e_i image) by the reference rule, stored in memo by (i, head)
+    on first use; each reads the entries of shorter heads only."""
+    entry = memo.get((i, head))
+    if entry is None:
+        entry = memo[i, head] = (_eps_reference(crystal, i, head, memo),
+                                 tensor_f_reference(crystal, i, head, memo),
+                                 tensor_e_reference(crystal, i, head, memo))
+    return entry
 
 
 class XiTableReference(XiCache):
@@ -203,16 +220,21 @@ class XiTableReference(XiCache):
 
 def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS):
     """The crystal axioms on every word of every power N <= big_n_max, and tensor_e/f
-    against the literal two-factor recursion. Each word's weight is computed once per
-    power into a table of doubled coordinates, one entry per word (at most 2^budget_bits,
-    charged up front), which the weight-shift checks read at the e/f-neighbour."""
+    against the two-factor recursion. Each word's weight is computed once per power into a
+    table of doubled coordinates, one entry per word (at most 2^budget_bits, charged up
+    front), which the weight-shift checks read at the e/f-neighbour; the two shifts
+    c2 -/+ alpha_i are built once per (weight, index). The reference keeps one memo per
+    crystal across powers, one entry per (i, head) for the heads shorter than N, so each
+    head's eps_i and moves are computed once."""
     # the largest whole-crystal scan: N factors at the largest rank
     charge(word_count(max(n_values), big_n_max), budget_bits)
     checks = []
     for n in n_values:
         crystal = SpinCrystal(n, budget_bits)
-        # the reference's eps_i by (i, word) on heads shorter than N: n*sum_{k<N} 2^(nk) at most
+        # the reference's entries by (i, head) on heads shorter than N: n*sum_{k<N} 2^(nk)
         eps_memo = {}
+        # (c2 - alpha_i, c2 + alpha_i) by (i, c2): at most n entries per weight
+        shifts = {}
         roots = [(i, _root2(i, n)) for i in range(1, n + 1)]
         wts = sorted((crystal.element_weight(b) for b in crystal.elements()),
                      key=lambda w: w.coords2, reverse=True)
@@ -230,15 +252,20 @@ def suite_crystal_axioms(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGE
                     eps, phi = crystal.eps(i, w), crystal.phi(i, w)
                     if phi - eps != _pairing(c2, i, n):
                         bad.append(("pairing", w, i))
+                    shift = shifts.get((i, c2))
+                    if shift is None:
+                        shift = shifts[i, c2] = (tuple(a - b for a, b in zip(c2, root)),
+                                                 tuple(a + b for a, b in zip(c2, root)))
+                    lowered, raised = shift
                     down = crystal.tensor_f(i, w)
                     if down is not None:
-                        if weights.get(down) != tuple(a - b for a, b in zip(c2, root)):
+                        if weights.get(down) != lowered:
                             bad.append(("weight-shift-f", w, i))
                         if crystal.tensor_e(i, down) != w:
                             bad.append(("ef-adjoint", w, i))
                     up = crystal.tensor_e(i, w)
                     if up is not None:
-                        if weights.get(up) != tuple(a + b for a, b in zip(c2, root)):
+                        if weights.get(up) != raised:
                             bad.append(("weight-shift-e", w, i))
                         if crystal.tensor_f(i, up) != w:
                             bad.append(("fe-adjoint", w, i))
@@ -299,8 +326,10 @@ def suite_census(n_values=(2, 3), big_n_max=5, budget_bits=DEFAULT_BUDGET_BITS):
 def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS):
     """xi is an involution with the w0 weight rule on every word of every power, the
     commutor is involutive on two factors, and the coboundary square holds on three.
-    xi of each word is computed once per power into a table, one entry per word (at most
-    2^budget_bits, charged up front), and the involution reads each image's image there."""
+    xi and the weight of each word are computed once per power into two tables, one entry
+    per word (at most 2^budget_bits, charged up front): the involution reads each image's
+    image there, and the weight rule compares doubled coordinates with w0 of the word's
+    weight, computed once per distinct weight."""
     # the largest whole-crystal scan: N factors (at least two) per rank, three at n=2
     charge(max([word_count(2, 3)] + [word_count(n, max(big_n_max, 2)) for n in n_values]),
            budget_bits)
@@ -310,11 +339,17 @@ def suite_commutor(n_values=(2, 3), big_n_max=4, budget_bits=DEFAULT_BUDGET_BITS
         cache = XiCache(crystal)
         for big_n in range(1, big_n_max + 1):
             images = {w: cache.xi_word(w) for w in crystal.all_words(big_n)}
+            coords2 = {w: crystal.word_weight(w).coords2 for w in images}
+            flipped = {}  # c2 -> w0 of the weight c2, once per weight
             bad = 0
             for w, image in images.items():
                 if images.get(image) != w:
                     bad += 1
-                if crystal.word_weight(image) != w0_image(crystal.word_weight(w)):
+                c2 = coords2[w]
+                target = flipped.get(c2)
+                if target is None:
+                    target = flipped[c2] = w0_image(crystal.word_weight(w)).coords2
+                if coords2.get(image) != target:
                     bad += 1
             _check(checks, f"xi involution and weight rule n={n} N={big_n}", bad == 0,
                    f"{bad} violations" if bad else "")

@@ -189,6 +189,25 @@ def _weight_wrong_on_an_f_neighbour(real):
     return Wrong
 
 
+def _e1_lost_at_one_word(real):
+    """A crystal whose tensor_e misses e_1 of (1, 2), which is (1, 1): the reference, read
+    through its memo, still moves it."""
+    class Wrong(real):
+        def tensor_e(self, i, w):
+            return None if (i, w) == (1, (1, 2)) else super().tensor_e(i, w)
+    return Wrong
+
+
+def _xi_fixing_one_word(real):
+    """An XiCache whose xi fixes (3, 3), of weight (2, 2), whose image is (0, 0), of weight
+    (-2, -2): one involution and one weight rule broken. (3, 3) is the last word, and the
+    image (3, 3) of (0, 0) has its weight, so a w0 rule keyed by the image's weight passes it."""
+    class Fixing(real):
+        def xi_word(self, w):
+            return w if w == (3, 3) else super().xi_word(w)
+    return Fixing
+
+
 def _act_breaking_one_involution(real):
     """s(1,2) composed with the swap of two tables x, y of one shape, where s(1,2) moves x
     and y is neither x nor its image: still a bijection, no longer an involution."""
@@ -220,6 +239,12 @@ PLANTED_FAULTS = {
     # of it by e_1 and e_2
     "weight-shift": ("crystal-axioms", "SpinCrystal", _weight_wrong_on_an_f_neighbour,
                      ["--n", "2", "--N", "2"], "axioms n=2 N=2", "5 violations"),
+    # the reference disagrees at (1, 2), and e_1 no longer undoes f_1 (1, 1) = (1, 2)
+    "tensor-e": ("crystal-axioms", "SpinCrystal", _e1_lost_at_one_word, ["--n", "2", "--N", "2"],
+                 "axioms n=2 N=2", "2 violations"),
+    # (0, 0)'s image (3, 3) does not map back, and (3, 3) keeps its own weight
+    "xi-weight-rule": ("commutor", "XiCache", _xi_fixing_one_word, ["--n", "2", "--N", "2"],
+                       "xi involution and weight rule n=2 N=2", "2 violations"),
     "generator-involution": ("cactus-relations", "act_on_table", _act_breaking_one_involution,
                              ["--n", "2", "--N", "3"], "generators are involutions", ""),
     "disjoint-commute": ("cactus-relations", "act_on_table", _act_s34_as_s23,

@@ -552,3 +552,23 @@ def test_eps_memo_gives_the_reference_answers_within_its_bound():
             assert tensor_e_reference(c, i, w, memo) == tensor_e_reference(c, i, w)
     assert all(len(w) < big_n for _, w in memo)
     assert len(memo) <= n * sum(1 << (n * k) for k in range(big_n))
+
+
+@pytest.mark.parametrize("n, big_n_max", [(2, 4), (3, 4), (4, 3)])
+def test_memoized_reference_equals_the_memo_free_recursion(n, big_n_max):
+    # one memo per crystal, filled across powers in suite_crystal_axioms' order: f_i then
+    # e_i of every word, index by index; the memo-free recursion is the oracle
+    c = SpinCrystal(n)
+    memo = {}
+    indices = range(1, n + 1)
+    up, down = partial(tensor_e_reference, c), partial(tensor_f_reference, c)
+    for big_n in range(1, big_n_max + 1):
+        for w in c.all_words(big_n):
+            for i in indices:
+                assert tensor_f_reference(c, i, w, memo) == down(i, w)
+                assert tensor_e_reference(c, i, w, memo) == up(i, w)
+        # one entry per (i, head) for every head shorter than N, each the head's answers
+        assert sorted(memo) == sorted((i, h) for k in range(1, big_n)
+                                      for h in c.all_words(k) for i in indices)
+    for (i, head), entry in memo.items():
+        assert entry == (_repeated(up, i, head), down(i, head), up(i, head))
