@@ -490,6 +490,24 @@ INVALID = [
                  "rows must descend through consecutive ranks", id="GTPattern-repeated-rank"),
     pytest.param(lambda: GTPattern((OrthWeight((2, 2), 4),), 0),
                  "the last row must have rank 3", id="GTPattern-ends-above-rank-3"),
+    # records with two faults: the message is the one the rules' order names first
+    pytest.param(lambda: CellTable.from_json({"steps2": [[1, 1], [-1, 1], [3, 1]]}),
+                 "step 3 is not a spinor weight: (3/2, 1/2)",
+                 id="CellTable-bad-step-after-bad-prefix"),
+    pytest.param(lambda: ShortYoungDiagram.from_json({"rows": [2, 0, 1], "N": 6, "n": 2}),
+                 "row lengths must be positive (drop trailing zeros)",
+                 id="ShortYoungDiagram-zero-row-that-breaks-decrease"),
+    pytest.param(lambda: ShortYoungDiagram.from_json({"rows": [3, 3, 3], "N": 3, "n": 2}),
+                 "at most 2 columns allowed, got 3", id="ShortYoungDiagram-wide-and-not-short"),
+    pytest.param(lambda: SSYTable((ShortYoungDiagram((1,), 1, 2), ShortYoungDiagram((), 2, 2),
+                                   ShortYoungDiagram((), 4, 2))),
+                 "chain entry 3 has ambient height 4, expected 3",
+                 id="SSYTable-height-after-bad-strip"),
+    pytest.param(lambda: GTPattern.from_json({"betas2": [[2, 2], [4, 2], [-2]], "z": 0}),
+                 "(-2,) is not dominant for o_3",
+                 id="GTPattern-non-dominant-row-below-bad-interlacing"),
+    pytest.param(lambda: GTPattern((OrthWeight((2, 2), 4),), 0.5),
+                 "expected an integer, got 0.5", id="GTPattern-float-z-before-its-ranks"),
 ]
 
 
