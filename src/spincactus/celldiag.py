@@ -12,7 +12,9 @@ step must be one of the two dominant spinor weights.
 
 Dominance, Delta and the spinor step are asked of `weights` on coordinate tuples:
 a diagram is regular when r - l is dominant; a table checks each step and its running
-sum in one pass over the steps, reporting a bad step before a bad prefix sum.
+sum in one pass over the steps, reporting a bad step before a bad prefix sum, and stops
+summing at the first bad prefix sum, the only one it reports. Both records are slotted
+and store a field back only when they convert it (a non-tuple input).
 Records are validated where they enter (the constructors, from_json, diagram_of_weight,
 steps_from_diagram_chain); enumerate_tables, whose level walk carries only prefixes
 that complete to the shape, builds its tables through weights.trusted without
@@ -27,29 +29,28 @@ from math import comb
 from operator import add
 
 from .errors import ValidationError
-from .weights import (Weight, delta_violation, int_tuple, is_dominant2, is_spinor2, spinor_weights,
-                      trusted)
+from .weights import (Weight, delta_violation, is_dominant2, is_spinor2, own_int_tuple,
+                      spinor_weights, trusted)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellDiagram:
     l: tuple[int, ...]
     r: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "l", int_tuple(self.l))
-        object.__setattr__(self, "r", int_tuple(self.r))
-        n = len(self.r)
-        if n < 2 or len(self.l) != n:
+        l, r = own_int_tuple(self, "l"), own_int_tuple(self, "r")
+        n = len(r)
+        if n < 2 or len(l) != n:
             raise ValidationError("diagram needs rows l, r of equal length >= 2")
-        if any(x < 0 for x in self.l + self.r):
+        if any(x < 0 for x in l + r):
             raise ValidationError("row lengths must be non-negative")
-        big_n = self.l[0] + self.r[0]
+        big_n = l[0] + r[0]
         if big_n < 1:
             raise ValidationError("diagram length must be positive")
-        if any(li + ri != big_n for li, ri in zip(self.l, self.r)):
+        if any(li + ri != big_n for li, ri in zip(l, r)):
             raise ValidationError(f"all rows must have total length {big_n}")
-        if not is_dominant2(tuple(ri - li for li, ri in zip(self.l, self.r))):
+        if not is_dominant2(tuple(ri - li for li, ri in zip(l, r))):
             raise ValidationError("r - l must be dominant: r weakly decreasing, r_{n-1} >= l_n")
 
     @property
@@ -136,15 +137,17 @@ def contains(d1: CellDiagram, d2: CellDiagram) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellTable:
     """A regular cell table, stored as its step sequence of spinor weights."""
 
     steps: tuple[Weight, ...]
 
     def __post_init__(self):
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
+        steps = self.steps
+        if type(steps) is not tuple:
+            steps = tuple(steps)
+            object.__setattr__(self, "steps", steps)
         if not steps:
             raise ValidationError("a table has at least one step")
         n, bad = steps[0].rank, 0
@@ -155,9 +158,10 @@ class CellTable:
                 raise ValidationError("all steps must share one rank")
             if not is_spinor2(c):
                 raise ValidationError(f"step {k} is not a spinor weight: {mu}")
-            total = tuple(map(add, total, c))
-            if not (bad or is_dominant2(total)):
-                bad = k
+            if not bad:  # only the first bad prefix sum is reported
+                total = tuple(map(add, total, c))
+                if not is_dominant2(total):
+                    bad = k
         if bad == 1:
             raise ValidationError(f"first step must be one of the two dominant spinor weights, got {steps[0]}")
         if bad:

@@ -97,7 +97,7 @@ def contract(idx, x: ExteriorVector) -> ExteriorVector:
                                for m, c in x.terms.items() if m & bit})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatorSpec:
     """A signed sum of words in the wedge/contraction generators.
 

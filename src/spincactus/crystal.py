@@ -108,7 +108,7 @@ def closure(start, successors, budget_bits):
     return seen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     """One connected component: its highest-weight word, weight, and size."""
 

@@ -6,12 +6,17 @@ coordinate tuple ``coords2 = (3, 1, 1, -1)``.
 
 Each weight rule is stated once here, as one pass over a coordinate tuple where it can be:
 dominance (``is_dominant2``), the spinor step (``is_spinor2``), Delta (``delta_violation``)
-and the records' integer check (``int_tuple``).
+and the records' integer check (``int_tuple``, stored back by ``own_int_tuple``).
+
+Every record is a frozen dataclass with ``slots=True``: it has no instance ``__dict__``,
+so a field read is one slot lookup and a ``Weight`` takes 40 bytes instead of 56. Each
+``__post_init__`` checks its rules in their order and stores a field back only when it
+converts it (a non-tuple input).
 
 ``trusted`` builds the records the package derives from values it has checked, without
 their ``__post_init__``. Each record class gets one builder, generated on first use, that
-unpacks exactly the class's fields (a wrong number raises ValueError) and stores them in
-the new instance's ``__dict__``.
+unpacks exactly the class's fields (a wrong number raises ValueError) and stores each
+through the class's slot descriptor.
 """
 
 from __future__ import annotations
@@ -41,6 +46,16 @@ def int_tuple(values):
     return values
 
 
+def own_int_tuple(record, name):
+    """The record's field name checked by int_tuple, stored back only if it was converted:
+    tuple() of a tuple is the tuple itself."""
+    values = getattr(record, name)
+    checked = int_tuple(values)
+    if checked is not values:
+        object.__setattr__(record, name, checked)
+    return checked
+
+
 def trusted(cls, *values):
     """A frozen record of cls from field values its producer guarantees valid, without
     running __post_init__. Internal: the public constructors and from_json validate.
@@ -56,30 +71,33 @@ _BUILDERS = {}
 
 
 def _builder(cls):
-    """The builder trusted uses for cls: unpack one value per field, then write each into
-    the new instance's __dict__ (a frozen dataclass's own __setattr__ refuses). Generated
-    once per class, as dataclasses generates __init__: a fixed-arity unpacking and one store
-    per field cost under half of a zip over the field names (timeit, 3-field record)."""
+    """The builder trusted uses for cls: unpack one value per field, then store each through
+    the class's slot descriptor (a frozen dataclass's own __setattr__ refuses). A slotted
+    record has no __dict__: writing one into a record would make every later field read of
+    it a dict lookup, at over twice the cost of a slot read. Generated once per class, as
+    dataclasses generates __init__: a fixed-arity unpacking and one store per field cost
+    under half of a zip over the field names (timeit, 3-field record)."""
     names = tuple(cls.__dataclass_fields__)
     source = (f"def build(values):\n    {', '.join(names)}, = values\n"
-              "    record = new(cls)\n    fields = record.__dict__\n"
-              + "".join(f"    fields[{name!r}] = {name}\n" for name in names)
+              "    record = new(cls)\n"
+              + "".join(f"    set_{name}(record, {name})\n" for name in names)
               + "    return record\n")
     namespace = {"new": object.__new__, "cls": cls}
+    namespace.update((f"set_{name}", cls.__dict__[name].__set__) for name in names)
     exec(source, namespace)
     return namespace["build"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """A weight of o_{2n}, coordinates doubled to keep half-integers exact."""
 
     coords2: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords2", int_tuple(self.coords2))
-        if len(self.coords2) < 2:
-            raise ValidationError(f"rank must be at least 2, got {len(self.coords2)}")
+        rank = len(own_int_tuple(self, "coords2"))
+        if rank < 2:
+            raise ValidationError(f"rank must be at least 2, got {rank}")
 
     @property
     def rank(self):
@@ -104,7 +122,7 @@ class Weight:
         return cls(tuple(data))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrthWeight:
     """A dominant-weight candidate for o_k, with floor(k/2) doubled coordinates."""
 
@@ -112,22 +130,15 @@ class OrthWeight:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coords2", int_tuple(self.coords2))
-        if self.k < 1:
-            raise ValidationError(f"ambient rank must be positive, got {self.k}")
-        if len(self.coords2) != self.k // 2:
-            raise ValidationError(
-                f"o_{self.k} weights have {self.k // 2} coordinates, got {len(self.coords2)}"
-            )
+        coords2, k = own_int_tuple(self, "coords2"), self.k
+        if k < 1:
+            raise ValidationError(f"ambient rank must be positive, got {k}")
+        if len(coords2) != k // 2:
+            raise ValidationError(f"o_{k} weights have {k // 2} coordinates, got {len(coords2)}")
 
     def is_dominant(self):
         # even rank allows a negative last coordinate; at odd rank a trailing 0 forbids it
         return is_dominant2(self.coords2 if self.k % 2 == 0 else self.coords2 + (0,))
-
-    def validate(self):
-        if not self.is_dominant():
-            raise ValidationError(f"{self.coords2} is not dominant for o_{self.k}")
-        return self
 
     def to_json(self):
         return list(self.coords2)
@@ -146,9 +157,12 @@ def is_dominant_d(w: Weight) -> bool:
     return is_dominant2(w.coords2)
 
 
+_SPINOR_COORDS2 = frozenset((1, -1))
+
+
 def is_spinor2(c) -> bool:
     """True iff every doubled coordinate is +-1: a weight of the basic spin crystal."""
-    return {1, -1}.issuperset(c)
+    return _SPINOR_COORDS2.issuperset(c)
 
 
 def spinor_weights(n: int) -> tuple[Weight, ...]:

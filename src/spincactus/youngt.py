@@ -13,8 +13,11 @@ from one memo per rank, filled as steps are met (at most 2^n): step -> its grown
 and the mask of a strip's grown coordinates -> its step.
 
 Records are validated where they enter: the constructors, from_json, f_map, y_map, y_inverse
-(through CellTable) and j_map. Each rule is one index loop over row tuples: a diagram's rows,
-each strip of a chain (_strip) and each pair of pattern rows (interlaces). What this module
+(through CellTable) and j_map. Each rule is one index loop over row tuples: a diagram's rows
+(their integers and order in one loop, the order reported after the height, width bound and
+positivity), each strip of a chain (_strip) and each pair of pattern rows (interlaces), after
+the rank loop has checked every row's rank and dominance. The records are slotted and store a
+field back only when they convert it (a non-tuple input). What this module
 derives from checked values (the enumerators, branch_syd, associated, f_inverse,
 syd_to_orthweight, y_inverse's steps, j_inverse's chain) is built through weights.trusted,
 one builder per record class; y_inverse's steps are checked by validating the CellTable they
@@ -29,10 +32,10 @@ from itertools import product
 
 from .celldiag import CellDiagram, CellTable
 from .errors import ValidationError
-from .weights import OrthWeight, Weight, as_int, int_tuple, trusted
+from .weights import OrthWeight, Weight, as_int, trusted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShortYoungDiagram:
     """Partition stored as row lengths, with ambient height N and width bound n."""
 
@@ -41,19 +44,30 @@ class ShortYoungDiagram:
     n: int
 
     def __post_init__(self):
-        rows = int_tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
-        if self.N < 0 or self.n < 2:
+        rows = self.rows
+        if type(rows) is not tuple:
+            rows = tuple(rows)
+            object.__setattr__(self, "rows", rows)
+        # one pass over the rows: a non-int raises at once, while their order is reported
+        # after the height, the width bound and positivity, whose least row is then the last
+        ordered, last = True, rows[0] if rows else 1
+        for x in rows:
+            if type(x) is not int:
+                as_int(x)
+            if x > last:
+                ordered = False
+            last = x
+        big_n, n = self.N, self.n
+        if big_n < 0 or n < 2:
             raise ValidationError("need ambient height >= 0 and width bound >= 2")
-        if min(rows, default=1) <= 0:
+        if (last if ordered else min(rows)) <= 0:
             raise ValidationError("row lengths must be positive (drop trailing zeros)")
-        for i in range(1, len(rows)):
-            if rows[i - 1] < rows[i]:
-                raise ValidationError("rows must be weakly decreasing")
-        if rows and rows[0] > self.n:
-            raise ValidationError(f"at most {self.n} columns allowed, got {rows[0]}")
-        if not _fits(rows, self.N):
-            raise ValidationError(f"first two columns sum to {len(rows) + self.col(2)} > {self.N}")
+        if not ordered:
+            raise ValidationError("rows must be weakly decreasing")
+        if rows and rows[0] > n:
+            raise ValidationError(f"at most {n} columns allowed, got {rows[0]}")
+        if not _fits(rows, big_n):
+            raise ValidationError(f"first two columns sum to {len(rows) + self.col(2)} > {big_n}")
 
     def col(self, j):
         """Length of the j-th column (1-based)."""
@@ -212,24 +226,27 @@ def branch_syd(v: ShortYoungDiagram) -> list[ShortYoungDiagram]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SSYTable:
     """A chain of short Young diagrams growing by horizontal strips."""
 
     chain: tuple[ShortYoungDiagram, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "chain", tuple(self.chain))
-        if not self.chain:
+        chain = self.chain
+        if type(chain) is not tuple:
+            chain = tuple(chain)
+            object.__setattr__(self, "chain", chain)
+        if not chain:
             raise ValidationError("a table has at least one diagram")
-        n = self.chain[0].n
-        for k, v in enumerate(self.chain, 1):
+        n = chain[0].n
+        for k, v in enumerate(chain, 1):
             if v.N != k:
                 raise ValidationError(f"chain entry {k} has ambient height {v.N}, expected {k}")
             if v.n != n:
                 raise ValidationError("all chain entries must share one width bound")
-        for k in range(1, len(self.chain)):
-            if not _strip(self.chain[k].rows, self.chain[k - 1].rows):
+        for k in range(1, len(chain)):
+            if not _strip(chain[k].rows, chain[k - 1].rows):
                 raise ValidationError(
                     f"entry {k + 1} does not grow from entry {k} by a horizontal strip"
                 )
@@ -357,7 +374,7 @@ def y_inverse(s: SSYTable) -> CellTable:
     return CellTable(tuple(steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GTPattern:
     """Interlacing chain of orthogonal weights (rank N down to 3) plus the rank-2 label z."""
 
@@ -365,23 +382,27 @@ class GTPattern:
     z: int
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(self.betas))
-        object.__setattr__(self, "z", as_int(self.z))
-        if not self.betas:
+        betas = self.betas
+        if type(betas) is not tuple:
+            betas = tuple(betas)
+            object.__setattr__(self, "betas", betas)
+        z = as_int(self.z)
+        if not betas:
             raise ValidationError("a pattern has at least the rank-3 row")
-        top = self.betas[0].k
+        top = betas[0].k
         if top < 3:
             raise ValidationError("patterns start at rank 3 or higher")
-        for offset, beta in enumerate(self.betas):
+        for offset, beta in enumerate(betas):
             if beta.k != top - offset:
                 raise ValidationError("rows must descend through consecutive ranks")
-            beta.validate()
-        if self.betas[-1].k != 3:
+            if not beta.is_dominant():
+                raise ValidationError(f"{beta.coords2} is not dominant for o_{beta.k}")
+        if betas[-1].k != 3:
             raise ValidationError("the last row must have rank 3")
-        for upper, lower in zip(self.betas, self.betas[1:]):
+        for upper, lower in zip(betas, betas[1:]):
             if not interlaces(upper, lower):
                 raise ValidationError(f"rows at ranks {upper.k}, {lower.k} do not interlace")
-        if self.betas[-1].coords2[0] < 2 * abs(self.z):
+        if betas[-1].coords2[0] < 2 * abs(z):
             raise ValidationError("the rank-3 row must dominate |z|")
 
     @property

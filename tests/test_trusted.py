@@ -520,3 +520,42 @@ def test_invalid_records_raise_the_same_messages(build, message):
 def test_interlaces_from_rank_2_has_no_row_to_check():
     # the rank-1 row below a rank-2 row has no coordinates, so any rank-2 row interlaces it
     assert all(interlaces(OrthWeight((c,), 2), OrthWeight((), 1)) for c in (-4, 0, 2))
+
+
+# -- record layout: slotted, frozen, and round-tripping through pickle and copy ------
+
+
+def layout_examples():
+    """One record of every record class, each built by its constructor and by trusted."""
+    s = y_map(WORKED)
+    records = [WORKED.steps[0], OrthWeight((4, 2), 5), WORKED.shape(), WORKED, s.shape, s,
+               j_map(s), SpinCrystal(2).components(2)[0],
+               ExteriorAlgebra(2, 2).oe_operator(("gl", 1, 1))]
+    for record in records:
+        cls = type(record)
+        values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+        yield pytest.param(cls(*values), id=f"{cls.__name__}-constructed")
+        yield pytest.param(trusted(cls, *values), id=f"{cls.__name__}-trusted")
+
+
+def test_layout_examples_cover_every_frozen_dataclass():
+    import spincactus
+
+    frozen = {cls for module in vars(spincactus).values() if isinstance(module, type(spincactus))
+              for cls in vars(module).values()
+              if isinstance(cls, type) and cls.__module__ == module.__name__
+              and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen}
+    assert {type(p.values[0]) for p in layout_examples()} == frozen
+
+
+@pytest.mark.parametrize("record", layout_examples())
+def test_records_are_slotted_frozen_and_round_trip(record):
+    import copy
+    import pickle
+
+    assert not hasattr(record, "__dict__")
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
