@@ -29,7 +29,7 @@ from math import comb
 from operator import add
 
 from .errors import ValidationError
-from .weights import (Weight, delta_violation, is_dominant2, is_spinor2, own_int_tuple,
+from .weights import (Weight, delta_violation, int_tuple_field, is_dominant2, is_spinor2,
                       spinor_weights, trusted)
 
 
@@ -39,7 +39,7 @@ class CellDiagram:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        l, r = own_int_tuple(self, "l"), own_int_tuple(self, "r")
+        l, r = int_tuple_field(self, "l"), int_tuple_field(self, "r")
         n = len(r)
         if n < 2 or len(l) != n:
             raise ValidationError("diagram needs rows l, r of equal length >= 2")

@@ -6,7 +6,7 @@ coordinate tuple ``coords2 = (3, 1, 1, -1)``.
 
 Each weight rule is stated once here, as one pass over a coordinate tuple where it can be:
 dominance (``is_dominant2``), the spinor step (``is_spinor2``), Delta (``delta_violation``)
-and the records' integer check (``int_tuple``, stored back by ``own_int_tuple``).
+and the records' integer check (``int_tuple_field``).
 
 Every record is a frozen dataclass with ``slots=True``: it has no instance ``__dict__``,
 so a field read is one slot lookup and a ``Weight`` takes 40 bytes instead of 56. Each
@@ -37,20 +37,15 @@ def as_int(x):
     return x
 
 
-def int_tuple(values):
-    """values as a tuple of ints; the first entry that is not one raises as in as_int."""
-    values = tuple(values)
-    for x in values:
+def int_tuple_field(record, name):
+    """The record's field name as a tuple of ints, stored back only when tuple() converted
+    it (tuple() of a tuple is the tuple itself); the first entry that is not an int raises
+    as in as_int."""
+    values = getattr(record, name)
+    checked = tuple(values)
+    for x in checked:
         if type(x) is not int:
             as_int(x)
-    return values
-
-
-def own_int_tuple(record, name):
-    """The record's field name checked by int_tuple, stored back only if it was converted:
-    tuple() of a tuple is the tuple itself."""
-    values = getattr(record, name)
-    checked = int_tuple(values)
     if checked is not values:
         object.__setattr__(record, name, checked)
     return checked
@@ -95,7 +90,7 @@ class Weight:
     coords2: tuple[int, ...]
 
     def __post_init__(self):
-        rank = len(own_int_tuple(self, "coords2"))
+        rank = len(int_tuple_field(self, "coords2"))
         if rank < 2:
             raise ValidationError(f"rank must be at least 2, got {rank}")
 
@@ -130,7 +125,7 @@ class OrthWeight:
     k: int
 
     def __post_init__(self):
-        coords2, k = own_int_tuple(self, "coords2"), self.k
+        coords2, k = int_tuple_field(self, "coords2"), self.k
         if k < 1:
             raise ValidationError(f"ambient rank must be positive, got {k}")
         if len(coords2) != k // 2:
