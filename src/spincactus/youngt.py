@@ -48,8 +48,8 @@ class ShortYoungDiagram:
         if type(rows) is not tuple:
             rows = tuple(rows)
             object.__setattr__(self, "rows", rows)
-        # one pass over the rows: a non-int raises at once, while their order is reported
-        # after the height, the width bound and positivity, whose least row is then the last
+        # one pass over the rows: a non-int raises at once; their order is noted and reported
+        # after the height, the width bound and positivity (rows in order end at their least)
         ordered, last = True, rows[0] if rows else 1
         for x in rows:
             if type(x) is not int:
