@@ -12,10 +12,11 @@ target's row. A command declares the union of its rows' options.
 
 ``build_parser()`` declares all five commands through ``_declare``. When argv starts
 with a command and holds no ``--``, ``main`` parses the rest with that command's parser
-alone, built by the same ``_declare``, so its help is the subparser's. The full parser
-parses again any argv that parser refuses or leaves a token of, and any other argv (a
-help flag or other option first, an unknown command, none); it alone prints usage lines
-and errors, so they are byte-identical. Nothing is kept between calls.
+alone, built by the same ``_declare``. That parser declares no help action and never
+prints: a help flag stays among the tokens it leaves. The full parser parses again any
+argv that parser refuses or leaves a token of, and any other argv (a help flag or other
+option first, an unknown command, none); it alone prints help, usage lines and errors,
+so they are byte-identical. Nothing is kept between calls.
 
 ``_check_options`` refuses an option the row does not read, requires the
 required ones and resolves ``--format`` before the command runs. ``main`` then
@@ -29,8 +30,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
+import shutil
 import sys
 
 from . import cactus, celldiag, crystal, suites, youngt
@@ -68,10 +71,11 @@ def _json(payload):
 
 
 def _emit(args, payload, text_lines):
+    """Print payload as JSON, or under --format table the lines text_lines() returns."""
     if args.format == "json":
         print(_json(payload))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -92,11 +96,10 @@ def cmd_enumerate(args):
         lams = celldiag.enumerate_delta(args.n, args.N)
         if kind == "delta":
             records = [lam.to_json() for lam in lams]
-            lines = [str(lam.to_json()) for lam in lams]
+            line = str
         else:
-            diagrams = [celldiag.diagram_of_weight(lam, args.N) for lam in lams]
-            records = [d.to_json() for d in diagrams]
-            lines = [f"l={list(d.l)} r={list(d.r)}" for d in diagrams]
+            records = [celldiag.diagram_of_weight(lam, args.N).to_json() for lam in lams]
+            line = "l={0[l]} r={0[r]}".format
     elif kind == "tables":
         lam = Weight(_parse_csv_ints(args.lam))
         if args.n is not None and args.n != lam.rank:
@@ -104,25 +107,23 @@ def cmd_enumerate(args):
         shape = celldiag.diagram_of_weight(lam, args.N)
         crystal.charge(crystal.word_count(lam.rank, 1), budget)  # each state tries the 2^n steps
         crystal.charge(youngt.count_sssyt(youngt.f_map(shape)), budget)
-        tables = celldiag.enumerate_tables(shape)
-        records = [t.to_json() for t in tables]
-        lines = [str(t.to_json()["steps2"]) for t in tables]
+        records = [t.to_json() for t in celldiag.enumerate_tables(shape)]
+        line = "{0[steps2]}".format
     elif kind == "sssyt":
         nu = _nu(args)
         crystal.charge(youngt.count_sssyt(nu), budget)
-        chains = youngt.enumerate_sssyt(nu)
-        records = [s.to_json() for s in chains]
-        lines = [str(s.to_json()["chain"]) for s in chains]
+        records = [s.to_json() for s in youngt.enumerate_sssyt(nu)]
+        line = "{0[chain]}".format
     else:  # gtp
         nu = _nu(args)
         if nu.N >= 3:  # enumerate_gtp refuses a lower height as a usage error
             crystal.charge(youngt.count_sssyt(nu), budget)
             _charge_pattern(nu.N, budget)
-        patterns = youngt.enumerate_gtp(nu)
-        records = [p.to_json() for p in patterns]
-        lines = [str(p.to_json()) for p in patterns]
+        records = [p.to_json() for p in youngt.enumerate_gtp(nu)]
+        line = str
+    # a text line is read off its JSON record, so each record's to_json runs once
     payload = {"schema": SCHEMA, "kind": kind, "records": records, "count": len(records)}
-    _emit(args, payload, lines + [f"count: {len(records)}"])
+    _emit(args, payload, lambda: [*map(line, records), f"count: {len(records)}"])
     return EXIT_OK
 
 
@@ -182,11 +183,11 @@ def cmd_convert(args):
         back = _as(args, args.kind, _read(args, args.target, record))
         round_trip_ok = _as(args, args.target, _read(args, args.kind, back.to_json())) == value
     payload = {"schema": SCHEMA, "from": args.kind, "to": args.target, "record": record}
-    lines = [json.dumps(record)]
+    checked = []
     if round_trip_ok is not None:
         payload["round_trip_ok"] = round_trip_ok
-        lines.append(f"round_trip_ok: {round_trip_ok}")
-    _emit(args, payload, lines)
+        checked.append(f"round_trip_ok: {round_trip_ok}")
+    _emit(args, payload, lambda: [json.dumps(record), *checked])
     if round_trip_ok is False:
         return EXIT_FAIL
     return EXIT_OK
@@ -204,7 +205,7 @@ def cmd_act(args):
         "record": record,
         "shape": "unchanged",
     }
-    _emit(args, payload, [json.dumps(record), "shape: unchanged"])
+    _emit(args, payload, lambda: [json.dumps(record), "shape: unchanged"])
     return EXIT_OK
 
 
@@ -404,11 +405,15 @@ class _Refused(Exception):
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """One command's parser alone, declared as the full parser's subparser for it; its
-    error raises _Refused instead of printing."""
+    """One command's parser alone, declared as the full parser's subparser for it but
+    without a help action, so a help flag is a token it leaves; its error raises _Refused
+    instead of printing. It reads the terminal width once, not in every formatter that
+    add_argument builds to check a metavar."""
 
     def __init__(self, name):
-        super().__init__(prog=f"spincactus {name}")
+        width = shutil.get_terminal_size().columns - 2
+        super().__init__(prog=f"spincactus {name}", add_help=False,
+                         formatter_class=functools.partial(argparse.HelpFormatter, width=width))
         _declare(self, name)
 
     def error(self, message):

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import inspect
 import io
 import json
@@ -14,11 +15,12 @@ import answers
 import pytest
 
 from spincactus import cli, suites, youngt
-from spincactus.celldiag import CellTable
+from spincactus.celldiag import CellDiagram, CellTable
 from spincactus.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, VERIFY_OPTIONS, build_parser
 from spincactus.cli import OPTIONS, READS, main
 from spincactus.crystal import DEFAULT_BUDGET_BITS
 from spincactus.errors import BudgetExceededError
+from spincactus.weights import Weight
 
 
 def run(capsys, *argv):
@@ -788,9 +790,12 @@ def test_a_named_command_declares_its_own_options_alone(capsys, command):
     assert parser.prog == full_sub.prog == f"spincactus {command}"
     assert parser._defaults == full_sub._defaults
     assert parser._defaults["command"] == command
-    assert _declared(parser) == _declared(full_sub)
-    assert parser.format_usage() == full_sub.format_usage()
-    assert parser.format_help() == full_sub.format_help()
+    assert _declared(parser) == [action for action in _declared(full_sub)
+                                 if action[0] is not argparse._HelpAction]
+    first = next(iter(READS[command]))
+    positionals = {"act": [], "convert": [first, first]}.get(command, [first])
+    for token in ("-h", "--help", "--he"):  # left for the full parser to print its help
+        assert parser.parse_known_args([*positionals, token])[1] == [token]
     with pytest.raises(cli._Refused):  # an error is raised for the full parser to report
         parser.parse_known_args(["--budget-bits", "x"])
     assert capsys.readouterr() == ("", "")
@@ -814,6 +819,18 @@ def test_help_is_the_full_parsers(capsys, argv):
     code, out, err = _full_parser_exit(capsys, argv)
     assert (code, err) == (0, "") and out.startswith("usage: spincactus")
     assert run(capsys, *argv) == (EXIT_OK, out, "")
+
+
+# a help token the command parser leaves, and one it reads as an option's value
+HELP_TOKENS = [["act", "-hfoo"], ["act", "--word=-h"], ["enumerate", "-h", "delta"]]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in HELP if argv[0] in READS] + HELP_TOKENS,
+                         ids=shlex.join)
+def test_a_command_parser_never_prints_help(capsys, argv):
+    with contextlib.suppress(cli._Refused):
+        cli._CommandParser(argv[0]).parse_known_args(argv[1:])
+    assert capsys.readouterr() == ("", "")
 
 
 PARSE_ERRORS = [
@@ -852,7 +869,7 @@ FULL = ["full", *READS]  # build_parser(), declaring every command
     (["act", *WORD, "--payload", '{"steps2": [[1, 1]]}'], ["act"]),
     (["act", "--wor", "s(1,2)", "--payload", '{"steps2": [[1, 1]]}'], ["act"]),
     (["verify", "census", "--n", "2"], ["verify"]),
-    (["act", "--help"], ["act"]),
+    (["act", "--help"], ["act", *FULL]),
     # argv the command parser refuses, or leaves a token of, is parsed again in full
     (["act", *WORD, "stray"], ["act", *FULL]),
     (["act", *WORD, "--as", "bogus"], ["act", *FULL]),
@@ -894,7 +911,7 @@ class _RefusingParser:
 
 @pytest.mark.parametrize("argv", CLI_ROWS + PARSE_ERRORS + HELP + [
     ["act", "--wor", "s(1,3)", "--payload", '{"steps2": [[1, 1], [1, -1], [1, 1]]}'],
-], ids=lambda argv: shlex.join(["spincactus", *argv]))
+] + HELP_TOKENS, ids=lambda argv: shlex.join(["spincactus", *argv]))
 def test_main_answers_as_the_full_parser_path(capsys, monkeypatch, argv):
     monkeypatch.delenv("CACTUS_BUDGET_BITS", raising=False)
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
@@ -992,6 +1009,22 @@ def test_every_command_refuses_an_unusable_budget(capsys, monkeypatch, argv):
     monkeypatch.setenv("CACTUS_BUDGET_BITS", "abc")
     assert run(capsys, *argv) == (
         EXIT_USAGE, "", "error: CACTUS_BUDGET_BITS must be an integer, got 'abc'\n")
+
+
+ENUMERATED = {"delta": Weight, "diagrams": CellDiagram, "tables": CellTable,
+              "sssyt": youngt.SSYTable, "gtp": youngt.GTPattern}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("kind", list(READS["enumerate"]))
+def test_enumerate_writes_each_record_once(capsys, monkeypatch, kind, fmt):
+    record_class = ENUMERATED[kind]
+    written, to_json = [], record_class.to_json
+    monkeypatch.setattr(record_class, "to_json", lambda self: written.append(self) or to_json(self))
+    code, out, _ = run(capsys, *_row_argv("enumerate", kind), "--format", fmt)
+    count = json.loads(out)["count"] if fmt == "json" else int(out.rsplit(": ", 1)[1])
+    assert code == EXIT_OK and len(written) == count > 0
+    assert len({id(record) for record in written}) == count
 
 
 @pytest.mark.parametrize("argv", [
